@@ -1,33 +1,35 @@
-"""Large-N substrate throughput: columnar store vs. the mapping reference.
+"""Large-N kernel throughput: the slice loop vs. the row loop.
 
-The ISSUE-7 acceptance benchmark.  A city-scale population — 100k
-uniformly distributed moving objects, probed from a 64-point query
-lattice — is driven through the grid substrate twice, differing in
-exactly one knob: the storage backend.
+A city-scale population — 100k uniformly distributed moving objects,
+probed from a 64-point query lattice — is driven through the grid
+substrate twice over the same columnar store, differing in exactly one
+knob: which per-cell object loop the search kernels run.  The *sliced*
+side runs as shipped (cells of at least ``_VEC_MIN_ROWS`` rows are
+scanned as vectorized column slices); the *rows* side patches
+``repro.grid.search._VEC_MIN_ROWS`` out of reach for the duration of
+its replays, so every cell is walked row by row.
 
-Each timed tick is one simulation tick's worth of substrate work, the
-layer the columnar rewrite targets:
+Each timed tick is one simulation tick's worth of substrate work:
 
 - ``GridIndex.apply_updates`` absorbs a 2k-object movement batch (the
-  columnar side takes the vectorized bulk-move path, the mapping side
-  the per-object dict updates);
+  vectorized bulk-move path, identical on both sides);
 - per query point, the three full-scan kernels every executor leans on:
   ``count_closer_than`` (no ``stop_at`` — the whole-slice count),
   ``witnesses_closer_than`` (materializing the in-range witnesses) and
-  ``nearest`` (best-first over whole-cell slices).
+  ``nearest`` (best-first over whole cells).
 
 Early-exit probes (``stop_at``, ``first_closer_than``) are deliberately
-absent: they walk rows one by one on both backends (see
-``GridSearch.count_closer_than``), so they measure traversal, not
-layout.  The grid is coarse for the population (~100 rows per cell) so
-cell scans produce fat slices — the regime the columnar layout exists
-for.
+absent: they always walk rows (see ``GridSearch.count_closer_than``), so
+they would time the same loop on both sides.  The grid is coarse for
+the population (~100 rows per cell) so cell scans produce fat slices —
+the regime the slice loop exists for.
 
-The test asserts bit-identical kernel results on both backends (counts,
-distance-sorted witness rows, nearest ids), that the vectorized filter
-actually classified rows, a backend speedup floor (≥3x full, ≥2x
-quick), and writes ``BENCH_large_n.json`` at the repo root with
-ticks/sec and the store's row accounting.
+The test asserts bit-identical kernel results on both sides (counts,
+distance-sorted witness rows, nearest ids), identical row accounting,
+that the vectorized filter classified every sliced row and none on the
+rows side, a slice-over-row speedup floor, and writes
+``BENCH_large_n.json`` at the repo root with ticks/sec and the store's
+row accounting.
 
 ``LARGE_N_BENCH_QUICK=1`` selects a CI-sized configuration that keeps
 the rows-per-cell density (and therefore the slice shape) of the full
@@ -39,10 +41,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import random
+import sys
 import time
 from pathlib import Path
 
+from repro.grid import search as search_mod
 from repro.grid.index import GridIndex
 from repro.grid.search import GridSearch
 from repro.grid.store import STATS as STORE_STATS
@@ -100,16 +105,16 @@ def _query_positions(n: int):
     return [(x, y) for x in span for y in span][:n]
 
 
-def _run(workload, store: str):
+def _run(workload):
     """Replay the update script, probing every query point each tick.
 
     Returns ``(elapsed, results)`` where ``results`` is one row per
     (tick, query): the in-range count, the distance-sorted witness
     list and the nearest object — the identity contract between the
-    two backends.
+    two loops.
     """
     initial, script = workload
-    grid = GridIndex(GRID_SIZE, store=store)
+    grid = GridIndex(GRID_SIZE)
     for oid, pos in initial:
         grid.insert(oid, pos)
     search = GridSearch(grid)
@@ -125,49 +130,58 @@ def _run(workload, store: str):
             nn = search.nearest(q)
             results.append((count, witnesses, nn))
     elapsed = time.perf_counter() - start
-    # Witness rows surface in backend-specific scan order; canonicalize
-    # outside the timed region (ordering is not substrate work).
+    # Witness rows surface in scan order; canonicalize outside the
+    # timed region (ordering is not substrate work).
     for _, witnesses, _ in results:
         witnesses.sort()
     return elapsed, results
 
 
-def _best_of(workload, store: str):
-    """Best timed run of BEST_OF identical replays, plus the columnar
-    store counter deltas of one run (deterministic per replay)."""
+def _best_of(workload, vec_min_rows: int):
+    """Best timed run of BEST_OF identical replays with the kernels'
+    slice threshold set to ``vec_min_rows``, plus the store counter
+    deltas of one run (deterministic per replay)."""
     best_elapsed = None
     results = None
     stats = None
-    for _ in range(BEST_OF):
-        before = (
-            STORE_STATS.rows_scanned,
-            STORE_STATS.filter_rows,
-            STORE_STATS.exact_rows,
-        )
-        elapsed, results = _run(workload, store=store)
-        stats = (
-            STORE_STATS.rows_scanned - before[0],
-            STORE_STATS.filter_rows - before[1],
-            STORE_STATS.exact_rows - before[2],
-        )
-        if best_elapsed is None or elapsed < best_elapsed:
-            best_elapsed = elapsed
+    shipped = search_mod._VEC_MIN_ROWS
+    search_mod._VEC_MIN_ROWS = vec_min_rows
+    try:
+        for _ in range(BEST_OF):
+            before = (
+                STORE_STATS.rows_scanned,
+                STORE_STATS.filter_rows,
+                STORE_STATS.exact_rows,
+            )
+            elapsed, results = _run(workload)
+            stats = (
+                STORE_STATS.rows_scanned - before[0],
+                STORE_STATS.filter_rows - before[1],
+                STORE_STATS.exact_rows - before[2],
+            )
+            if best_elapsed is None or elapsed < best_elapsed:
+                best_elapsed = elapsed
+    finally:
+        search_mod._VEC_MIN_ROWS = shipped
     return best_elapsed, results, stats
 
 
 def test_large_n_throughput_and_result_identity():
     workload = _make_workload()
 
-    elapsed_col, results_col, stats_col = _best_of(workload, "columnar")
-    elapsed_map, results_map, stats_map = _best_of(workload, "mapping")
+    elapsed_sliced, results_sliced, stats_sliced = _best_of(
+        workload, search_mod._VEC_MIN_ROWS
+    )
+    # Out of reach: every cell takes the row loop.
+    elapsed_rows, results_rows, stats_rows = _best_of(workload, sys.maxsize)
 
     # Bit-identical kernel results, every query, every tick.
-    assert len(results_col) == len(results_map)
-    for i, (row_col, row_map) in enumerate(zip(results_col, results_map)):
-        assert row_col == row_map, f"probe row {i} diverged"
+    assert len(results_sliced) == len(results_rows)
+    for i, (row_sliced, row_rows) in enumerate(zip(results_sliced, results_rows)):
+        assert row_sliced == row_rows, f"probe row {i} diverged"
 
-    rows_scanned, filter_rows, exact_rows = stats_col
-    speedup = elapsed_map / elapsed_col
+    rows_scanned, filter_rows, exact_rows = stats_sliced
+    speedup = elapsed_rows / elapsed_sliced
     vectorized_fraction = (
         filter_rows / rows_scanned if rows_scanned else 0.0
     )
@@ -182,33 +196,39 @@ def test_large_n_throughput_and_result_identity():
             "radius": RADIUS,
             "quick": QUICK,
         },
-        "columnar": {
-            "seconds": elapsed_col,
-            "ticks_per_sec": N_TICKS / elapsed_col,
+        "host": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "sliced": {
+            "seconds": elapsed_sliced,
+            "ticks_per_sec": N_TICKS / elapsed_sliced,
             "rows_scanned": rows_scanned,
             "filter_rows": filter_rows,
             "exact_rows": exact_rows,
             "vectorized_fraction": vectorized_fraction,
         },
-        "mapping": {
-            "seconds": elapsed_map,
-            "ticks_per_sec": N_TICKS / elapsed_map,
+        "rows": {
+            "seconds": elapsed_rows,
+            "ticks_per_sec": N_TICKS / elapsed_rows,
+            "rows_scanned": stats_rows[0],
         },
         "speedup": speedup,
         "answers_identical": True,
     }
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(
-        f"\nlarge-N throughput: {result['columnar']['ticks_per_sec']:.2f}/s "
-        f"columnar vs {result['mapping']['ticks_per_sec']:.2f}/s mapping "
+        f"\nlarge-N throughput: {result['sliced']['ticks_per_sec']:.2f}/s "
+        f"sliced vs {result['rows']['ticks_per_sec']:.2f}/s row-by-row "
         f"({speedup:.2f}x, {rows_scanned} rows scanned, "
         f"{vectorized_fraction:.1%} filter-decided, "
         f"{exact_rows} exact fallbacks)"
     )
 
-    # The mapping reference never touches the columnar counters.
-    assert stats_map == (0, 0, 0)
-    # The vectorized filter must actually be doing the classifying.
+    # Both loops examine exactly the same rows; only the sliced side
+    # classifies them with the vectorized filter.
+    assert stats_rows[0] == rows_scanned
+    assert stats_rows[1] == 0
     assert rows_scanned > 0
     assert filter_rows > 0
     # Sanity: the probes genuinely scan fat slices.

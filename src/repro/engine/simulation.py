@@ -49,6 +49,36 @@ from repro.queries.base import ContinuousQuery
 logger = logging.getLogger(__name__)
 
 
+class _GuardedSpan:
+    """A tracer span whose own failures are reported, never raised.
+
+    Exceptions from the traced body propagate unchanged; an exception
+    from the tracer's enter/exit goes to ``Simulator._obs_hook_failed``.
+    """
+
+    __slots__ = ("_sim", "_span")
+
+    def __init__(self, sim: "Simulator", name: str, **attrs):
+        self._sim = sim
+        try:
+            self._span = sim.tracer.span(name, **attrs)
+            self._span.__enter__()
+        except Exception as exc:
+            self._span = None
+            sim._obs_hook_failed("tracer", exc)
+
+    def __enter__(self) -> "_GuardedSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        if self._span is not None:
+            try:
+                self._span.__exit__(*exc_info)
+            except Exception as exc:
+                self._sim._obs_hook_failed("tracer", exc)
+        return False
+
+
 class Simulator:
     """Drives moving objects and continuous queries over shared time.
 
@@ -107,11 +137,6 @@ class Simulator:
         scheduler is on — always-on tick digests plus anomaly-triggered
         replayable incident bundles.  ``False`` disables it; an explicit
         instance allows tuned thresholds or an incident directory.
-    store:
-        Storage backend of the grid index: ``"columnar"`` (the default
-        struct-of-arrays layout with vectorized cell kernels) or
-        ``"mapping"`` (the dict-backed reference layout).  Answers are
-        bit-identical; the fuzz harness runs both in lockstep.
     lease:
         When ``True``, lease-capable queries derive a safe-region answer
         lease (:mod:`repro.leases`) at every evaluation, and the engine
@@ -136,7 +161,6 @@ class Simulator:
         batch: bool = True,
         ledger: "Optional[QueryCostLedger | bool]" = None,
         flight: "bool | FlightRecorder" = True,
-        store: str = "columnar",
         lease: bool = False,
     ):
         self.generator = generator
@@ -144,7 +168,7 @@ class Simulator:
         self.clock = clock
         self.tracer = get_tracer()
         self.registry = registry if registry is not None else active_registry()
-        self.grid = GridIndex(grid_size, extent=extent, store=store)
+        self.grid = GridIndex(grid_size, extent=extent)
         for oid, pos, category in generator.initial():
             self.grid.insert(oid, pos, category)
         self._queries: Dict[str, ContinuousQuery] = {}
@@ -196,6 +220,9 @@ class Simulator:
         #: ``ticks_skipped_total`` when one is active).
         self.queries_evaluated = 0
         self.ticks_skipped = 0
+        #: Observability hook failures swallowed by :meth:`step`
+        #: (mirrored into the registry as ``obs_hook_errors_total``).
+        self.obs_hook_errors = 0
         self.current_tick = 0
         #: Set to the tick number when an exception escapes mid-
         #: :meth:`step` (movement possibly applied, scheduler/lease/
@@ -366,19 +393,21 @@ class Simulator:
         the zero-cost skip path in :meth:`execute_queries`.
         """
         self.current_tick += 1
-        tracer = self.tracer
         flight = self.flight
         ledger = self.ledger
         ledger_on = ledger is not None and ledger.enabled
         if flight is not None:
-            flight.before_tick(self.current_tick, self.grid)
+            try:
+                flight.before_tick(self.current_tick, self.grid)
+            except Exception as exc:
+                self._obs_hook_failed("flight", exc)
         self._last_events = None
         scheduler_time = 0.0
         t0 = self.clock()
         try:
-            with tracer.span("engine.tick", tick=self.current_tick):
+            with _GuardedSpan(self, "engine.tick", tick=self.current_tick):
                 move_start = self.clock()
-                with tracer.span("engine.movement"):
+                with _GuardedSpan(self, "engine.movement"):
                     delta = self._apply_movement()
                 movement_time = self.clock() - move_start
                 if self.scheduler is None or delta is None:
@@ -406,29 +435,64 @@ class Simulator:
         except Exception as exc:
             self._poison_tick()
             if flight is not None:
-                latency = self.clock() - t0
-                digest = self._digest(latency, {})
-                moves, inserts, removes = self._last_events or (
-                    None,
-                    None,
-                    None,
-                )
-                flight.observe(digest, moves, inserts, removes)
-                flight.capture(
-                    self, f"exception: {type(exc).__name__}: {exc}"
-                )
+                try:
+                    self._flight_record(
+                        self.clock() - t0,
+                        {},
+                        failure=f"exception: {type(exc).__name__}: {exc}",
+                    )
+                except Exception as hook_exc:
+                    self._obs_hook_failed("flight", hook_exc)
             raise
         latency = self.clock() - t0
         self.poisoned_tick = None
         if ledger_on:
-            ledger.end_tick(latency, movement_time, scheduler_time)
+            try:
+                ledger.end_tick(latency, movement_time, scheduler_time)
+            except Exception as exc:
+                self._obs_hook_failed("ledger", exc)
         if flight is not None:
-            digest = self._digest(latency, out)
-            moves, inserts, removes = self._last_events or (None, None, None)
-            anomaly = flight.observe(digest, moves, inserts, removes)
-            if anomaly is not None:
-                flight.capture(self, anomaly)
+            try:
+                self._flight_record(latency, out)
+            except Exception as exc:
+                self._obs_hook_failed("flight", exc)
         return out
+
+    def _flight_record(
+        self,
+        latency: float,
+        out: Dict[str, TickMetrics],
+        failure: Optional[str] = None,
+    ) -> None:
+        """File the tick with the flight recorder; capture an incident on
+        an anomaly, or on ``failure`` (an exception escaping the tick)."""
+        flight = self.flight
+        moves, inserts, removes = self._last_events or (None, None, None)
+        anomaly = flight.observe(
+            self._digest(latency, out), moves, inserts, removes
+        )
+        reason = failure if failure is not None else anomaly
+        if reason is not None:
+            flight.capture(self, reason)
+
+    def _obs_hook_failed(self, hook: str, exc: Exception) -> None:
+        """Log and count a failed observability hook; never re-raise.
+
+        Observability must not change what the engine computes: a
+        raising ledger, flight-recorder or tracer hook loses its own
+        record, never the tick (whose movement has already applied).
+        """
+        self.obs_hook_errors += 1
+        logger.error(
+            "tick %d: %s hook failed: %s: %s",
+            self.current_tick,
+            hook,
+            type(exc).__name__,
+            exc,
+            exc_info=exc,
+        )
+        if self.registry is not None:
+            self.registry.counter("obs_hook_errors_total", hook=hook).inc()
 
     def _poison_tick(self) -> None:
         """Fail-fast bookkeeping for an exception escaping mid-tick.

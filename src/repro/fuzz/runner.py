@@ -1,15 +1,14 @@
 """Lockstep differential execution of one scenario, and the fuzz loop.
 
-For every scenario the runner builds **five simulators over the
-identical frozen event script** — scheduler+batch on (the columnar
-store default), scheduler on with batching off, scheduler off (the
-evaluate-everything oracle configuration), scheduler+batch on over
-the dict-backed ``store="mapping"`` grid layout, and scheduler+batch
-with safe-region answer leases on (``lease=True``) — registers the same
-executors in all of them (IGERN plus, per scenario, one baseline and up
-to three extra fixed IGERN queries clustered near the main one so the
-batch layer actually shares), and advances them tick by tick in
-lockstep.  After every tick it checks six layers:
+For every scenario the runner builds **four simulators over the
+identical frozen event script** — scheduler+batch on, scheduler on with
+batching off, scheduler off (the evaluate-everything oracle
+configuration), and scheduler+batch with safe-region answer leases on
+(``lease=True``) — registers the same executors in all of them (IGERN
+plus, per scenario, one baseline and up to three extra fixed IGERN
+queries clustered near the main one so the batch layer actually
+shares), and advances them tick by tick in lockstep.  After every tick
+it checks five layers:
 
 1. **oracle** — each executor's answer in the scheduler-off simulator
    must equal the quadratic brute-force answer recomputed from the raw
@@ -24,26 +23,19 @@ lockstep.  After every tick it checks six layers:
    scheduling decisions, so memoization is the only variable — a probe
    served from a corrupt memo shows up in the monitored state even when
    the answer survives);
-4. **store** — each executor's answer over the mapping layout must be
-   bit-identical to the scheduler-off answer and its grid must hold
-   identical positions — the columnar/mapping differential pair of the
-   vectorized kernels.  (Monitored *candidate* sets are not compared
-   across layouts: ties in candidate selection are broken by cell
-   enumeration order, which legitimately differs between layouts while
-   both remain valid supersets — the invariant layer checks each side's
-   internal consistency instead.);
-5. **lease** — each executor's answer in the lease-mode simulator must
+4. **lease** — each executor's answer in the lease-mode simulator must
    be bit-identical to the scheduler-off answer (a held lease carries
    the certified answer forward), and every issued lease's *contract*
    is re-derived from raw positions each tick: while the population is
    unchanged, every object sits within the lease's object budget of its
    issue-time position, and the query point lies inside the safe
    region, the issue-time answer must equal the brute oracle's;
-6. **invariants** — every IGERN monitored state passes
+5. **invariants** — every IGERN monitored state passes
    :meth:`~repro.core.state.MonoState.check_invariants` /
-   :meth:`~repro.core.state.BiState.check_invariants` in *all three*
-   simulators (in particular after skipped ticks), and the registered
-   footprints cover the alive region and the monitored/answer objects.
+   :meth:`~repro.core.state.BiState.check_invariants` in the
+   scheduler-on, batch and scheduler-off simulators (in particular after
+   skipped ticks), and the registered footprints cover the alive region
+   and the monitored/answer objects.
 
 Any violation becomes a :class:`Divergence`; the scenario (already in
 scripted form) plus its divergences is the replayable failure artifact.
@@ -93,7 +85,7 @@ CAT_A, CAT_B = "A", "B"
 class Divergence:
     """One observed disagreement or invariant violation."""
 
-    kind: str  # "oracle" | "scheduler" | "batch" | "store" | "lease" | "invariant" | "grid-sync"
+    kind: str  # "oracle" | "scheduler" | "batch" | "lease" | "invariant" | "grid-sync"
     tick: int
     name: str  # executor name or invariant site
     expected: list
@@ -191,14 +183,6 @@ class _Lockstep:
             extent=extent,
             scheduler=False,
         )
-        self.sim_store = Simulator(
-            ScriptedWorkload(scenario.script),
-            grid_size=scenario.grid_size,
-            extent=extent,
-            scheduler=True,
-            batch=True,
-            store="mapping",
-        )
         self.sim_lease = Simulator(
             ScriptedWorkload(scenario.script),
             grid_size=scenario.grid_size,
@@ -210,9 +194,8 @@ class _Lockstep:
         self._register(self.sim_on)
         self._register(self.sim_batch)
         self._register(self.sim_off)
-        self._register(self.sim_store)
         self._register(self.sim_lease)
-        # Optional sixth participant: the sharded serving cluster
+        # Optional extra participant: the sharded serving cluster
         # (inline transport for determinism and coverage, lease mode on,
         # fan-out agreement checking every query on every shard).  Only
         # the IGERN executors ride along — the serving layer does not
@@ -325,25 +308,18 @@ class _Lockstep:
         metrics_on = self.sim_on.execute_queries()
         metrics_batch = self.sim_batch.execute_queries()
         metrics_off = self.sim_off.execute_queries()
-        metrics_store = self.sim_store.execute_queries()
         metrics_lease = self.sim_lease.execute_queries()
         self._check_tick(
-            0, metrics_on, metrics_off, metrics_batch, metrics_store, metrics_lease
+            0, metrics_on, metrics_off, metrics_batch, metrics_lease
         )
         self._check_serving(0, metrics_off, initial=True)
         for t in range(1, self.scenario.n_ticks + 1):
             metrics_on = self.sim_on.step()
             metrics_batch = self.sim_batch.step()
             metrics_off = self.sim_off.step()
-            metrics_store = self.sim_store.step()
             metrics_lease = self.sim_lease.step()
             self._check_tick(
-                t,
-                metrics_on,
-                metrics_off,
-                metrics_batch,
-                metrics_store,
-                metrics_lease,
+                t, metrics_on, metrics_off, metrics_batch, metrics_lease
             )
             self._check_serving(t, metrics_off)
         if self.cluster is not None:
@@ -423,7 +399,6 @@ class _Lockstep:
         metrics_on: Dict,
         metrics_off: Dict,
         metrics_batch: Dict,
-        metrics_store: Dict,
         metrics_lease: Dict,
     ) -> None:
         report = self.divergences
@@ -431,7 +406,6 @@ class _Lockstep:
         for side, sim in (
             ("on", self.sim_on),
             ("batch", self.sim_batch),
-            ("store", self.sim_store),
             ("lease", self.sim_lease),
         ):
             if sim.grid.positions_snapshot() != off_positions:
@@ -483,18 +457,6 @@ class _Lockstep:
                         detail="batch=True answer differs from the cold path",
                     )
                 )
-            store_answer = set(metrics_store[name].answer)
-            if store_answer != off_answer:
-                report.append(
-                    Divergence(
-                        kind="store",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(off_answer, key=repr),
-                        actual=sorted(store_answer, key=repr),
-                        detail="mapping-store answer differs from the columnar path",
-                    )
-                )
             lease_answer = set(metrics_lease[name].answer)
             if lease_answer != off_answer:
                 report.append(
@@ -533,7 +495,6 @@ class _Lockstep:
                 ("on", self.sim_on),
                 ("batch", self.sim_batch),
                 ("off", self.sim_off),
-                ("store", self.sim_store),
             ):
                 for name in igern_names:
                     for violation in self._state_violations(sim, name):
@@ -550,7 +511,6 @@ class _Lockstep:
             for side, sim in (
                 ("on", self.sim_on),
                 ("batch", self.sim_batch),
-                ("store", self.sim_store),
             ):
                 for name in igern_names:
                     for violation in self._footprint_violations(sim, name):
@@ -775,8 +735,9 @@ def run_scenario(
     whole filtered stack is differentially validated.
 
     ``serving`` adds the sharded serving cluster as a sixth lockstep
-    participant: merged gateway answers and lease decisions must be
-    bit-identical to the single-process engine.
+    participant (after the brute oracle and the four simulators): merged
+    gateway answers and lease decisions must be bit-identical to the
+    single-process engine.
     """
     sc = scripted(scenario)
     result = _Lockstep(

@@ -5,14 +5,11 @@ objects currently inside it.  Objects carry an opaque *category* so that
 the bichromatic algorithms can search A objects and scan B objects on the
 same structure (category ``0`` is the default for monochromatic data).
 
-Storage is pluggable (see :mod:`repro.grid.store`): the default
-``"columnar"`` backend keeps parallel coordinate columns plus a per-cell
-row index, so the search kernels can scan whole cells as array slices;
-``"mapping"`` keeps the original dict-of-sets layout for differential
-testing and tiny populations.  The index itself owns the geometry
+Objects live in a :class:`~repro.grid.store.ColumnarStore`: parallel
+coordinate columns plus a per-cell row index, so the search kernels can
+scan whole cells as array slices.  The index itself owns the geometry
 (position -> cell math), the maintenance counters, and the per-tick
-:class:`~repro.grid.delta.TickDelta` bookkeeping — both backends see
-exactly the same sequence of primitive mutations.
+:class:`~repro.grid.delta.TickDelta` bookkeeping.
 
 The index counts *cell changes* — moves that relocate an object to a
 different cell.  Figure 5a of the paper plots exactly this number as the
@@ -23,11 +20,13 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.grid.cell import CellKey, cell_key_of, cell_rect_of
 from repro.grid.delta import TickDelta
-from repro.grid.store import make_store
+from repro.grid.store import ColumnarStore
 
 Category = Hashable
 ObjectId = Hashable
@@ -36,11 +35,6 @@ ObjectId = Hashable
 #: array staging than it saves; the scalar loop handles small ticks.
 #: Measured crossover sits between 30 and 64 movers on a 2k-object grid.
 _BULK_MOVE_MIN = 48
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
 
 
 class GridIndex:
@@ -54,18 +48,9 @@ class GridIndex:
         The indexed data space; defaults to the unit square.  Out-of-extent
         positions are accepted and clamped into boundary cells, matching
         how moving-object generators occasionally overshoot the map edge.
-    store:
-        Storage backend: ``"columnar"`` (struct-of-arrays, the default) or
-        ``"mapping"`` (the dict-backed reference layout).  Answers are
-        bit-identical between the two; only the cost profile differs.
     """
 
-    def __init__(
-        self,
-        size: int,
-        extent: Optional[Rect] = None,
-        store: str = "columnar",
-    ):
+    def __init__(self, size: int, extent: Optional[Rect] = None):
         if size < 1:
             raise ValueError(f"grid size must be positive, got {size}")
         self.size = size
@@ -75,10 +60,9 @@ class GridIndex:
         self._ymin = self.extent.ymin
         self._inv_w = size / self.extent.width
         self._inv_h = size / self.extent.height
-        self.store_kind = store
-        self._store = make_store(store)
-        # Stable mapping view over the backend's positions: the scalar
-        # search paths and the shared tick context read through it.
+        self._store = ColumnarStore()
+        # Stable ``oid -> Point`` view over the store's columns: the
+        # shared tick context and ad-hoc lookups read through it.
         self._positions = self._store.positions
         self.cell_changes = 0
         self.updates = 0
@@ -199,9 +183,7 @@ class GridIndex:
         if not isinstance(moves, (list, tuple)):
             moves = list(moves)
         n_moves = len(moves)
-        if n_moves >= _BULK_MOVE_MIN and store.vectorized and self._bulk_moves(
-            moves, delta
-        ):
+        if n_moves >= _BULK_MOVE_MIN and self._bulk_moves(moves, delta):
             self.updates += n_moves
             self.mutations += n_moves
             return delta
@@ -215,23 +197,16 @@ class GridIndex:
         inv_w = self._inv_w
         inv_h = self._inv_h
         store_move = store.move
-        # The no-op check reads raw columns on the columnar layout —
-        # store.position() would materialize a Point per mover.
-        col_rows = getattr(store, "row_of", None)
-        if col_rows is not None:
-            col_xs = store.xs
-            col_ys = store.ys
-        position = store.position
+        # The no-op check reads the raw columns — store.position() would
+        # materialize a Point per mover.
+        row_of = store.row_of
+        col_xs = store.xs
+        col_ys = store.ys
         for oid, pos in moves:
             x, y = pos
-            if col_rows is not None:
-                row = col_rows[oid]
-                if col_xs[row] == x and col_ys[row] == y:
-                    continue
-            else:
-                old = position(oid)
-                if old.x == x and old.y == y:
-                    continue
+            row = row_of[oid]
+            if col_xs[row] == x and col_ys[row] == y:
+                continue
             p = pos if type(pos) is Point else Point(x, y)
             ix = int((x - xmin) * inv_w)
             iy = int((y - ymin) * inv_h)
@@ -260,12 +235,12 @@ class GridIndex:
         return delta
 
     def _bulk_moves(self, moves, delta: TickDelta) -> bool:
-        """Vectorized move batch over the columnar backend.
+        """Vectorized move batch over the store's columns.
 
         Returns ``False`` when the batch must take the scalar loop
         (duplicate movers in one tick keep last-wins semantics there)."""
         n = len(moves)
-        coords = _np.empty((n, 2), dtype=_np.float64)
+        coords = np.empty((n, 2), dtype=np.float64)
         oids = [None] * n
         for i, (oid, pos) in enumerate(moves):
             oids[i] = oid

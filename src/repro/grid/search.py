@@ -22,17 +22,19 @@ convex region containing the query in this codebase, whose grid cover is
 4-connected, so restricting the expansion to matching cells never strands
 the search.
 
-Over the columnar store (the :class:`~repro.grid.index.GridIndex`
-default) the per-cell object loops of the hot kernels — the closer-than
-family, :meth:`GridSearch.nearest` and the region scan — run *sliced*:
-one fancy-indexed gather of the cell's coordinate columns, one vectorized
-squared-distance pass, the certified float filter applied to the whole
-slice at once, and only the uncertain rows routed to the exact
-:mod:`~repro.geometry.predicates` fallback.  Answers are bit-identical to
-the scalar loops (elementwise IEEE-754 arithmetic is the same arithmetic;
-every filter decision is certified); only the cost profile changes, which
-is why the per-kind operation counters still tally exactly the
-non-excluded rows examined.
+The hot kernels — the closer-than family, :meth:`GridSearch.nearest` and
+the region scan — read the grid's columnar store directly, with two
+per-cell object loops.  Small cells, short-circuiting probes and
+per-object predicates walk the bucket *row by row* off the coordinate
+columns.  Fat cells (at least ``_VEC_MIN_ROWS`` rows) in a full scan run
+*sliced*: one fancy-indexed gather of the cell's coordinate columns, one
+vectorized squared-distance pass, the certified float filter applied to
+the whole slice at once, and only the uncertain rows routed to the exact
+:mod:`~repro.geometry.predicates` fallback.  The two loops give
+bit-identical answers (elementwise IEEE-754 arithmetic is the same
+arithmetic; every filter decision is certified); only the cost profile
+differs, which is why the per-kind operation counters tally exactly the
+non-excluded rows examined either way.
 """
 
 from __future__ import annotations
@@ -44,17 +46,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.geometry import predicates
+from repro.geometry.point import Point
 from repro.grid.alive import AliveCellGrid
 from repro.grid.cell import CellKey, cell_key_of
 from repro.grid.index import Category, GridIndex, ObjectId
 from repro.grid.store import STATS as STORE_STATS
 from repro.obs.trace import Tracer, get_tracer
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - scalar loops cover everything
-    _np = None
 
 CellFilter = Callable[[CellKey], bool]
 ObjectFilter = Callable[[ObjectId, "PointLike"], bool]
@@ -131,9 +131,9 @@ def _as_excluded(exclude: Iterable[ObjectId]):
 
 _NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
-#: Below this many rows a cell slice is scanned scalar-wise: the fixed
+#: Below this many rows a cell slice is scanned row by row: the fixed
 #: cost of staging a numpy gather exceeds the loop it replaces.  Fine
-#: grids (a few objects per cell) stay on the scalar loops; coarse grids
+#: grids (a few objects per cell) stay on the row loops; coarse grids
 #: over large populations get the vectorized slices.
 _VEC_MIN_ROWS = 16
 
@@ -223,15 +223,8 @@ class GridSearch:
         # None (the default), every path below is byte-for-byte the
         # pre-batching behavior.
         self.shared_context = None
-        # The columnar store when it can serve vectorized cell slices;
-        # None routes every kernel through the original scalar loops
-        # (mapping backend, or numpy unavailable).
-        store = getattr(grid, "_store", None)
-        self._col = (
-            store
-            if (store is not None and getattr(store, "vectorized", False) and _np is not None)
-            else None
-        )
+        # The columnar store whose cell buckets the kernels scan.
+        self._col = grid._store
         # Cached cell geometry for the heap priority computation.
         extent = grid.extent
         self._xmin = extent.xmin
@@ -321,9 +314,13 @@ class GridSearch:
 
         heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, qx, qy), start)]
         seen: Set[CellKey] = {start}
-        positions = grid._positions  # hot path: bypass the method call
-        # Vectorized slices can't evaluate per-object predicates mid-scan.
-        col = self._col if obj_filter is None else None
+        col = self._col
+        oids = col.oids
+        xs = col.xs
+        ys = col.ys
+        # Vectorized slices can't evaluate per-object predicates mid-scan,
+        # so an object filter keeps every bucket on the row loop.
+        vec = obj_filter is None
 
         while heap:
             d2, key = heapq.heappop(heap)
@@ -331,70 +328,42 @@ class GridSearch:
                 break
             stats.cells_visited[kind] += 1
             if not porous or _cell_matches(key, alive, cell_filter):
-                if col is not None:
-                    for bucket in col.cell_buckets(key, category):
-                        if bucket.n < _VEC_MIN_ROWS:
-                            brows = bucket.rows
-                            oids = col.oids
-                            xs = col.xs
-                            ys = col.ys
-                            for bi in range(bucket.n):
-                                r = brows[bi]
-                                oid = oids[r]
-                                if oid in excluded:
-                                    continue
-                                stats.objects_examined[kind] += 1
-                                STORE_STATS.rows_scanned += 1
-                                dx = xs[r] - qx
-                                dy = ys[r] - qy
-                                od2 = dx * dx + dy * dy
-                                if od2 < best_d2:
-                                    best_d2 = float(od2)
-                                    best_id = oid
-                            continue
-                        rows = bucket.view()
-                        bx = col.xs_np[rows]
-                        by = col.ys_np[rows]
-                        dxs = bx - qx
-                        dys = by - qy
-                        od2s = dxs * dxs + dys * dys
-                        skip = _excluded_slots(col, bucket, excluded) if excluded else ()
-                        if skip:
-                            od2s[skip] = math.inf
-                        examined = bucket.n - len(skip)
-                        stats.objects_examined[kind] += examined
-                        STORE_STATS.rows_scanned += examined
-                        STORE_STATS.filter_rows += examined
-                        i = int(_np.argmin(od2s))
-                        m = od2s[i]
-                        if m < best_d2:
-                            best_d2 = float(m)
-                            best_id = col.oids[int(rows[i])]
-                    ix, iy = key
-                    for sx, sy in _NEIGHBOR_STEPS:
-                        nkey = (ix + sx, iy + sy)
-                        if (
-                            0 <= nkey[0] < n
-                            and 0 <= nkey[1] < n
-                            and nkey not in seen
-                            and (porous or _cell_matches(nkey, alive, cell_filter))
-                        ):
-                            seen.add(nkey)
-                            nd2 = self._cell_d2(nkey, qx, qy)
-                            if nd2 <= best_d2:
-                                heapq.heappush(heap, (nd2, nkey))
-                    continue
-                for oid in grid.objects_in_cell(key, category):
-                    if oid in excluded:
+                for bucket in col.cell_buckets(key, category):
+                    if not vec or bucket.n < _VEC_MIN_ROWS:
+                        brows = bucket.rows
+                        for bi in range(bucket.n):
+                            r = brows[bi]
+                            oid = oids[r]
+                            if oid in excluded:
+                                continue
+                            stats.objects_examined[kind] += 1
+                            STORE_STATS.rows_scanned += 1
+                            dx = xs[r] - qx
+                            dy = ys[r] - qy
+                            od2 = dx * dx + dy * dy
+                            if od2 < best_d2 and (
+                                obj_filter is None
+                                or obj_filter(oid, Point(xs[r], ys[r]))
+                            ):
+                                best_d2 = od2
+                                best_id = oid
                         continue
-                    stats.objects_examined[kind] += 1
-                    p = positions[oid]
-                    dx = p.x - qx
-                    dy = p.y - qy
-                    od2 = dx * dx + dy * dy
-                    if od2 < best_d2 and (obj_filter is None or obj_filter(oid, p)):
-                        best_d2 = od2
-                        best_id = oid
+                    rows = bucket.view()
+                    dxs = col.xs_np[rows] - qx
+                    dys = col.ys_np[rows] - qy
+                    od2s = dxs * dxs + dys * dys
+                    skip = _excluded_slots(col, bucket, excluded) if excluded else ()
+                    if skip:
+                        od2s[skip] = math.inf
+                    examined = bucket.n - len(skip)
+                    stats.objects_examined[kind] += examined
+                    STORE_STATS.rows_scanned += examined
+                    STORE_STATS.filter_rows += examined
+                    i = int(np.argmin(od2s))
+                    m = od2s[i]
+                    if m < best_d2:
+                        best_d2 = float(m)
+                        best_id = oids[int(rows[i])]
             ix, iy = key
             for sx, sy in _NEIGHBOR_STEPS:
                 nkey = (ix + sx, iy + sy)
@@ -543,123 +512,88 @@ class GridSearch:
         start = cell_key_of(extent, n, (cx, cy))
         heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
         seen: Set[CellKey] = {start}
-        positions = grid._positions
-        # Tiny-threshold scans compare unsquared distances; keep them scalar.
-        col = self._col if not tiny else None
+        col = self._col
+        oids = col.oids
+        xs = col.xs
+        ys = col.ys
         # A stop_at scan typically terminates within a handful of rows —
         # materializing whole-slice distances would forfeit that early
         # exit (measured 25x row inflation on large-N mono verification),
         # so short-circuiting calls walk the columns row by row instead.
-        vec = stop_at is None
+        # Tiny-threshold scans compare unsquared distances, which the
+        # slice filter does not do: they stay on the row loop too.
+        vec = stop_at is None and not tiny
 
         while heap:
             d2, key = heapq.heappop(heap)
             if d2 >= t2_prune:
                 break
             stats.cells_visited[kind] += 1
-            if col is not None:
-                for bucket in col.cell_buckets(key, category):
-                    if not vec or bucket.n < _VEC_MIN_ROWS:
-                        brows = bucket.rows
-                        oids = col.oids
-                        xs = col.xs
-                        ys = col.ys
-                        for bi in range(bucket.n):
-                            r = brows[bi]
-                            oid = oids[r]
-                            if oid in excluded:
-                                continue
-                            stats.objects_examined[kind] += 1
-                            STORE_STATS.rows_scanned += 1
-                            dx = xs[r] - cx
-                            dy = ys[r] - cy
-                            od2 = dx * dx + dy * dy
-                            if exact:
-                                if od2 < t2_lo:
-                                    closer = True
-                                    fast_hits += 1
-                                elif od2 > t2_hi:
-                                    closer = False
-                                    fast_hits += 1
-                                else:
-                                    closer = predicates.closer_than(
-                                        center,
-                                        (float(xs[r]), float(ys[r])),
-                                        threshold_point,
-                                    )
-                            else:
-                                closer = od2 < t2
-                            if closer:
-                                count += 1
-                                if stop_at is not None and count >= stop_at:
-                                    predicates.STATS.filter_hits += fast_hits
-                                    return count
-                        continue
-                    rows = bucket.view()
-                    bx = col.xs_np[rows]
-                    by = col.ys_np[rows]
-                    dxs = bx - cx
-                    dys = by - cy
-                    od2s = dxs * dxs + dys * dys
-                    skip = _excluded_slots(col, bucket, excluded) if excluded else ()
-                    if skip:
-                        od2s[skip] = math.inf
-                    examined = bucket.n - len(skip)
-                    stats.objects_examined[kind] += examined
-                    STORE_STATS.rows_scanned += examined
-                    if exact:
-                        closer_mask = od2s < t2_lo
-                        n_closer = int(closer_mask.sum())
-                        unsure = _np.nonzero(~closer_mask & (od2s <= t2_hi))[0]
-                        n_unsure = len(unsure)
-                        decided = examined - n_unsure
-                        fast_hits += decided
-                        STORE_STATS.filter_rows += decided
-                        if n_unsure:
-                            STORE_STATS.exact_rows += n_unsure
-                            for i in unsure.tolist():
-                                if predicates.closer_than(
-                                    center, (float(bx[i]), float(by[i])), threshold_point
-                                ):
-                                    n_closer += 1
-                        count += n_closer
-                    else:
-                        count += int((od2s < t2).sum())
-                        STORE_STATS.filter_rows += examined
-                    if stop_at is not None and count >= stop_at:
-                        predicates.STATS.filter_hits += fast_hits
-                        return stop_at
-            else:
-                for oid in grid.objects_in_cell(key, category):
-                    if oid in excluded:
-                        continue
-                    stats.objects_examined[kind] += 1
-                    p = positions[oid]
-                    dx = p.x - cx
-                    dy = p.y - cy
-                    if exact:
+            for bucket in col.cell_buckets(key, category):
+                if not vec or bucket.n < _VEC_MIN_ROWS:
+                    brows = bucket.rows
+                    for bi in range(bucket.n):
+                        r = brows[bi]
+                        oid = oids[r]
+                        if oid in excluded:
+                            continue
+                        stats.objects_examined[kind] += 1
+                        STORE_STATS.rows_scanned += 1
+                        dx = xs[r] - cx
+                        dy = ys[r] - cy
                         od2 = dx * dx + dy * dy
-                        if od2 < t2_lo:
-                            closer = True
-                            fast_hits += 1
-                        elif od2 > t2_hi:
-                            closer = False
-                            fast_hits += 1
+                        if exact:
+                            if od2 < t2_lo:
+                                closer = True
+                                fast_hits += 1
+                            elif od2 > t2_hi:
+                                closer = False
+                                fast_hits += 1
+                            else:
+                                closer = predicates.closer_than(
+                                    center, (xs[r], ys[r]), threshold_point
+                                )
+                        elif tiny:
+                            closer = math.hypot(dx, dy) < threshold
                         else:
-                            closer = predicates.closer_than(
-                                center, (p.x, p.y), threshold_point
-                            )
-                    else:
-                        closer = (
-                            math.hypot(dx, dy) < threshold
-                            if tiny
-                            else dx * dx + dy * dy < t2
-                        )
-                    if closer:
-                        count += 1
-                        if stop_at is not None and count >= stop_at:
-                            predicates.STATS.filter_hits += fast_hits
-                            return count
+                            closer = od2 < t2
+                        if closer:
+                            count += 1
+                            if stop_at is not None and count >= stop_at:
+                                predicates.STATS.filter_hits += fast_hits
+                                return count
+                    continue
+                rows = bucket.view()
+                bx = col.xs_np[rows]
+                by = col.ys_np[rows]
+                dxs = bx - cx
+                dys = by - cy
+                od2s = dxs * dxs + dys * dys
+                skip = _excluded_slots(col, bucket, excluded) if excluded else ()
+                if skip:
+                    od2s[skip] = math.inf
+                examined = bucket.n - len(skip)
+                stats.objects_examined[kind] += examined
+                STORE_STATS.rows_scanned += examined
+                if exact:
+                    closer_mask = od2s < t2_lo
+                    n_closer = int(closer_mask.sum())
+                    unsure = np.nonzero(~closer_mask & (od2s <= t2_hi))[0]
+                    n_unsure = len(unsure)
+                    decided = examined - n_unsure
+                    fast_hits += decided
+                    STORE_STATS.filter_rows += decided
+                    if n_unsure:
+                        STORE_STATS.exact_rows += n_unsure
+                        for i in unsure.tolist():
+                            if predicates.closer_than(
+                                center, (float(bx[i]), float(by[i])), threshold_point
+                            ):
+                                n_closer += 1
+                    count += n_closer
+                else:
+                    count += int((od2s < t2).sum())
+                    STORE_STATS.filter_rows += examined
             ix, iy = key
             for sx, sy in _NEIGHBOR_STEPS:
                 nkey = (ix + sx, iy + sy)
@@ -714,9 +648,10 @@ class GridSearch:
         start = cell_key_of(extent, n, (cx, cy))
         heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
         seen: Set[CellKey] = {start}
-        positions = grid._positions
-
         col = self._col
+        oids = col.oids
+        xs = col.xs
+        ys = col.ys
         # Same early-exit economics as count_closer_than: short-circuiting
         # calls walk the columns row by row instead of slicing.
         vec = stop_at is None
@@ -726,127 +661,85 @@ class GridSearch:
             if d2 >= t2_prune:
                 break
             stats.cells_visited[kind] += 1
-            if col is not None:
-                for bucket in col.cell_buckets(key, category):
-                    if not vec or bucket.n < _VEC_MIN_ROWS:
-                        brows = bucket.rows
-                        oids = col.oids
-                        xs = col.xs
-                        ys = col.ys
-                        for bi in range(bucket.n):
-                            r = brows[bi]
-                            oid = oids[r]
-                            if oid in excluded:
-                                continue
-                            stats.objects_examined[kind] += 1
-                            STORE_STATS.rows_scanned += 1
-                            dx = xs[r] - cx
-                            dy = ys[r] - cy
-                            od2 = dx * dx + dy * dy
-                            if exact:
-                                if od2 < t2_lo:
-                                    closer = True
-                                    fast_hits += 1
-                                elif od2 > t2_hi:
-                                    closer = False
-                                    fast_hits += 1
-                                else:
-                                    closer = predicates.closer_than(
-                                        center,
-                                        (float(xs[r]), float(ys[r])),
-                                        threshold_point,
-                                    )
+            for bucket in col.cell_buckets(key, category):
+                if not vec or bucket.n < _VEC_MIN_ROWS:
+                    brows = bucket.rows
+                    for bi in range(bucket.n):
+                        r = brows[bi]
+                        oid = oids[r]
+                        if oid in excluded:
+                            continue
+                        stats.objects_examined[kind] += 1
+                        STORE_STATS.rows_scanned += 1
+                        dx = xs[r] - cx
+                        dy = ys[r] - cy
+                        od2 = dx * dx + dy * dy
+                        if exact:
+                            if od2 < t2_lo:
+                                closer = True
+                                fast_hits += 1
+                            elif od2 > t2_hi:
+                                closer = False
+                                fast_hits += 1
                             else:
-                                closer = od2 < t2
-                            if closer:
-                                out.append((oid, float(od2)))
-                                if stop_at is not None and len(out) >= stop_at:
-                                    predicates.STATS.filter_hits += fast_hits
-                                    return out
-                        continue
-                    rows = bucket.view()
-                    bx = col.xs_np[rows]
-                    by = col.ys_np[rows]
-                    dxs = bx - cx
-                    dys = by - cy
-                    od2s = dxs * dxs + dys * dys
-                    skip = _excluded_slots(col, bucket, excluded) if excluded else ()
-                    if skip:
-                        od2s[skip] = math.inf
-                    examined = bucket.n - len(skip)
-                    stats.objects_examined[kind] += examined
-                    STORE_STATS.rows_scanned += examined
-                    # The vec gate above guarantees stop_at is None here,
-                    # so hits can be extracted slab-at-a-time: one fancy
-                    # gather + tolist per bucket instead of per-row numpy
-                    # scalar indexing (which costs ~1us per witness).
-                    oid_col = col.oids
-                    if exact:
-                        closer_mask = od2s < t2_lo
-                        unsure_mask = ~closer_mask & (od2s <= t2_hi)
-                        n_unsure = int(unsure_mask.sum())
-                        decided = examined - n_unsure
-                        fast_hits += decided
-                        STORE_STATS.filter_rows += decided
-                        STORE_STATS.exact_rows += n_unsure
-                        if n_unsure:
-                            # Walk candidates in slice order so the unsure
-                            # residue resolves interleaved exactly where a
-                            # scalar scan of this slice would place it.
-                            cand = _np.nonzero(closer_mask | unsure_mask)[0]
-                            for i in cand.tolist():
-                                if closer_mask[i] or predicates.closer_than(
-                                    center,
-                                    (float(bx[i]), float(by[i])),
-                                    threshold_point,
-                                ):
-                                    out.append(
-                                        (oid_col[int(rows[i])], float(od2s[i]))
-                                    )
-                        else:
-                            hit_idx = _np.nonzero(closer_mask)[0]
-                            out.extend(
-                                zip(
-                                    (oid_col[r] for r in rows[hit_idx].tolist()),
-                                    od2s[hit_idx].tolist(),
+                                closer = predicates.closer_than(
+                                    center, (xs[r], ys[r]), threshold_point
                                 )
-                            )
-                    else:
-                        STORE_STATS.filter_rows += examined
-                        hit_idx = _np.nonzero(od2s < t2)[0]
-                        out.extend(
-                            zip(
-                                (oid_col[r] for r in rows[hit_idx].tolist()),
-                                od2s[hit_idx].tolist(),
-                            )
-                        )
-            else:
-                for oid in grid.objects_in_cell(key, category):
-                    if oid in excluded:
-                        continue
-                    stats.objects_examined[kind] += 1
-                    p = positions[oid]
-                    dx = p.x - cx
-                    dy = p.y - cy
-                    od2 = dx * dx + dy * dy
-                    if exact:
-                        if od2 < t2_lo:
-                            closer = True
-                            fast_hits += 1
-                        elif od2 > t2_hi:
-                            closer = False
-                            fast_hits += 1
                         else:
-                            closer = predicates.closer_than(
-                                center, (p.x, p.y), threshold_point
-                            )
-                    else:
-                        closer = od2 < t2
-                    if closer:
-                        out.append((oid, od2))
-                        if stop_at is not None and len(out) >= stop_at:
-                            predicates.STATS.filter_hits += fast_hits
-                            return out
+                            closer = od2 < t2
+                        if closer:
+                            out.append((oid, od2))
+                            if stop_at is not None and len(out) >= stop_at:
+                                predicates.STATS.filter_hits += fast_hits
+                                return out
+                    continue
+                rows = bucket.view()
+                bx = col.xs_np[rows]
+                by = col.ys_np[rows]
+                dxs = bx - cx
+                dys = by - cy
+                od2s = dxs * dxs + dys * dys
+                skip = _excluded_slots(col, bucket, excluded) if excluded else ()
+                if skip:
+                    od2s[skip] = math.inf
+                examined = bucket.n - len(skip)
+                stats.objects_examined[kind] += examined
+                STORE_STATS.rows_scanned += examined
+                # The vec gate above guarantees stop_at is None here, so
+                # hits can be extracted slab-at-a-time: one fancy gather +
+                # tolist per bucket instead of per-row numpy scalar
+                # indexing (which costs ~1us per witness).
+                if exact:
+                    closer_mask = od2s < t2_lo
+                    unsure_mask = ~closer_mask & (od2s <= t2_hi)
+                    n_unsure = int(unsure_mask.sum())
+                    decided = examined - n_unsure
+                    fast_hits += decided
+                    STORE_STATS.filter_rows += decided
+                    STORE_STATS.exact_rows += n_unsure
+                    if n_unsure:
+                        # Walk candidates in slice order so the unsure
+                        # residue resolves interleaved exactly where a
+                        # row scan of this slice would place it.
+                        cand = np.nonzero(closer_mask | unsure_mask)[0]
+                        for i in cand.tolist():
+                            if closer_mask[i] or predicates.closer_than(
+                                center,
+                                (float(bx[i]), float(by[i])),
+                                threshold_point,
+                            ):
+                                out.append((oids[int(rows[i])], float(od2s[i])))
+                        continue
+                    hit_idx = np.nonzero(closer_mask)[0]
+                else:
+                    STORE_STATS.filter_rows += examined
+                    hit_idx = np.nonzero(od2s < t2)[0]
+                out.extend(
+                    zip(
+                        (oids[r] for r in rows[hit_idx].tolist()),
+                        od2s[hit_idx].tolist(),
+                    )
+                )
             ix, iy = key
             for sx, sy in _NEIGHBOR_STEPS:
                 nkey = (ix + sx, iy + sy)
@@ -894,60 +787,30 @@ class GridSearch:
         start = cell_key_of(grid.extent, n, (cx, cy))
         heap: List[Tuple[float, CellKey]] = [(self._cell_d2(start, cx, cy), start)]
         seen: Set[CellKey] = {start}
-        positions = grid._positions
-
         col = self._col
+        oids = col.oids
+        xs = col.xs
+        ys = col.ys
 
         while heap:
             d2, key = heapq.heappop(heap)
             if d2 >= t2_prune:
                 break
             stats.cells_visited[kind] += 1
-            if col is not None:
-                # An any-witness probe short-circuits on the first hit —
-                # always row-by-row, never whole-slice (see
-                # count_closer_than on the early-exit economics).
-                for bucket in col.cell_buckets(key, category):
-                    brows = bucket.rows
-                    oids = col.oids
-                    xs = col.xs
-                    ys = col.ys
-                    for bi in range(bucket.n):
-                        r = brows[bi]
-                        oid = oids[r]
-                        if oid in excluded:
-                            continue
-                        stats.objects_examined[kind] += 1
-                        STORE_STATS.rows_scanned += 1
-                        dx = xs[r] - cx
-                        dy = ys[r] - cy
-                        od2 = dx * dx + dy * dy
-                        if exact:
-                            if od2 < t2_lo:
-                                closer = True
-                                fast_hits += 1
-                            elif od2 > t2_hi:
-                                closer = False
-                                fast_hits += 1
-                            else:
-                                closer = predicates.closer_than(
-                                    center,
-                                    (float(xs[r]), float(ys[r])),
-                                    threshold_point,
-                                )
-                        else:
-                            closer = od2 < threshold_sq
-                        if closer:
-                            predicates.STATS.filter_hits += fast_hits
-                            return (oid, float(od2))
-            else:
-                for oid in grid.objects_in_cell(key, category):
+            # An any-witness probe short-circuits on the first hit —
+            # always row-by-row, never whole-slice (see count_closer_than
+            # on the early-exit economics).
+            for bucket in col.cell_buckets(key, category):
+                brows = bucket.rows
+                for bi in range(bucket.n):
+                    r = brows[bi]
+                    oid = oids[r]
                     if oid in excluded:
                         continue
                     stats.objects_examined[kind] += 1
-                    p = positions[oid]
-                    dx = p.x - cx
-                    dy = p.y - cy
+                    STORE_STATS.rows_scanned += 1
+                    dx = xs[r] - cx
+                    dy = ys[r] - cy
                     od2 = dx * dx + dy * dy
                     if exact:
                         if od2 < t2_lo:
@@ -958,7 +821,7 @@ class GridSearch:
                             fast_hits += 1
                         else:
                             closer = predicates.closer_than(
-                                center, (p.x, p.y), threshold_point
+                                center, (xs[r], ys[r]), threshold_point
                             )
                     else:
                         closer = od2 < threshold_sq
@@ -1116,8 +979,8 @@ class GridSearch:
         harmless because the refine step applies the exact shared float
         comparison from ``RoadNetwork.point_to_point``).  The count is
         order-independent, so the early exit at ``stop_at`` returns
-        exactly what the full enumeration would clamp to — enumeration
-        order differences between store backends cannot show through.
+        exactly what the full enumeration would clamp to, whatever the
+        enumeration order.
         """
         if metric is None:
             metric = self.metric
@@ -1180,7 +1043,6 @@ class GridSearch:
         qx, qy = q
         stats = self.stats
         stats.calls[kind] += 1
-        grid = self.grid
         excluded = _as_excluded(exclude)
         out: List[Tuple[float, ObjectId]] = []
         ctx = self.shared_context
@@ -1199,7 +1061,7 @@ class GridSearch:
                     dx = p.x - qx
                     dy = p.y - qy
                     out.append((dx * dx + dy * dy, oid))
-        elif self._col is not None:
+        else:
             col = self._col
             oid_col = col.oids
             xs = col.xs
@@ -1219,7 +1081,7 @@ class GridSearch:
                             STORE_STATS.rows_scanned += 1
                             dx = xs[r] - qx
                             dy = ys[r] - qy
-                            out.append((float(dx * dx + dy * dy), oid))
+                            out.append((dx * dx + dy * dy, oid))
                         continue
                     rows = bucket.view()
                     dxs = xs_np[rows] - qx
@@ -1228,7 +1090,7 @@ class GridSearch:
                     if excluded:
                         skip = _excluded_slots(col, bucket, excluded)
                         if skip:
-                            keep = _np.ones(bucket.n, dtype=bool)
+                            keep = np.ones(bucket.n, dtype=bool)
                             keep[skip] = False
                             rows = rows[keep]
                             od2s = od2s[keep]
@@ -1238,17 +1100,6 @@ class GridSearch:
                     out.extend(
                         zip(od2s.tolist(), (oid_col[r] for r in rows.tolist()))
                     )
-        else:
-            positions = grid._positions
-            for key in alive.alive_cells():
-                for oid in grid.objects_in_cell(key, category):
-                    if oid in excluded:
-                        continue
-                    stats.objects_examined[kind] += 1
-                    p = positions[oid]
-                    dx = p.x - qx
-                    dy = p.y - qy
-                    out.append((dx * dx + dy * dy, oid))
         stats.cells_visited[kind] += alive.alive_cell_bound()
         out.sort(key=lambda pair: pair[0])
         return out

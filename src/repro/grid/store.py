@@ -1,26 +1,19 @@
-"""Pluggable object stores behind :class:`repro.grid.index.GridIndex`.
+"""The columnar object store behind :class:`repro.grid.index.GridIndex`.
 
-Two layouts implement the same storage contract:
+:class:`ColumnarStore` is a struct-of-arrays layout: parallel ``float64``
+coordinate columns, integer cell-coordinate columns, and a per-(cell,
+category) row index of growable integer row lists (a CSR-style bucket
+index maintained incrementally on every insert/remove/move).  Rows are
+recycled through a free list; when churn leaves too many holes the store
+compacts the columns in one pass so whole-cell slices stay dense.
 
-- :class:`MappingStore` — the original dict-of-sets layout (``oid ->
-  Point``, ``cell -> category -> set``).  Object-at-a-time, allocation
-  heavy, but with zero per-row indirection; still preferable for tiny
-  populations and as the differential-testing reference.
-- :class:`ColumnarStore` — a struct-of-arrays layout: parallel coordinate
-  columns (numpy ``float64`` when available, ``array('d')`` otherwise),
-  integer cell-coordinate columns, and a per-(cell, category) row index
-  of growable integer row lists (a CSR-style bucket index maintained
-  incrementally on every insert/remove/move).  Rows are recycled through
-  a free list; when churn leaves too many holes the store compacts the
-  columns in one pass so whole-cell slices stay dense.
-
-The columnar layout is what the vectorized cell kernels in
-:mod:`repro.grid.search` and :mod:`repro.grid.alive` slice: a cell scan
-becomes one fancy-indexed gather over the coordinate columns plus one
-vectorized certified-filter pass, with only the uncertain rows routed to
-the exact predicates — answers stay bit-identical to the scalar path
-because IEEE-754 double arithmetic is elementwise identical and every
-filter decision is certified (see ``geometry/predicates.py``).
+The columnar layout is what the cell kernels in :mod:`repro.grid.search`
+and :mod:`repro.grid.alive` read: small cells row by row straight off the
+columns, fat cells as one fancy-indexed gather plus one vectorized
+certified-filter pass, with only the uncertain rows routed to the exact
+predicates — the two loops give bit-identical answers because IEEE-754
+double arithmetic is elementwise identical and every filter decision is
+certified (see ``geometry/predicates.py``).
 
 Row membership test used by the kernels: a row ``r`` belongs to a bucket
 iff ``slots[r] < bucket.n and bucket.rows[slots[r]] == r`` — rows live in
@@ -38,12 +31,9 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.geometry.point import Point
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as _np
-except Exception:  # pragma: no cover - the array('d') seam
-    _np = None
+from repro.geometry.point import Point
 
 CellKey = Tuple[int, int]
 Category = Hashable
@@ -63,7 +53,7 @@ class StoreStats:
         self.reset()
 
     def reset(self) -> None:
-        #: Rows examined by vectorized cell kernels.
+        #: Rows examined by the cell kernels (row and slice loops alike).
         self.rows_scanned = 0
         #: Rows decided by the vectorized (certified) float filter.
         self.filter_rows = 0
@@ -89,20 +79,20 @@ class StoreStats:
 STATS = StoreStats()
 
 
-class _RowListNp:
-    """Growable ``int64`` row vector with O(1) swap-remove (numpy)."""
+class _RowList:
+    """Growable ``int64`` row vector with O(1) swap-remove."""
 
     __slots__ = ("rows", "n")
 
     def __init__(self) -> None:
-        self.rows = _np.empty(8, dtype=_np.int64)
+        self.rows = np.empty(8, dtype=np.int64)
         self.n = 0
 
     def append(self, row: int) -> int:
         n = self.n
         rows = self.rows
         if n == len(rows):
-            grown = _np.empty(2 * n, dtype=_np.int64)
+            grown = np.empty(2 * n, dtype=np.int64)
             grown[:n] = rows
             self.rows = rows = grown
         rows[n] = row
@@ -124,40 +114,12 @@ class _RowListNp:
         return self.rows[: self.n]
 
 
-class _RowListPy:
-    """The same contract over a plain list (no-numpy seam)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self) -> None:
-        self.rows: List[int] = []
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def append(self, row: int) -> int:
-        self.rows.append(row)
-        return len(self.rows) - 1
-
-    def swap_remove(self, slot: int) -> int:
-        rows = self.rows
-        last = rows.pop()
-        if slot != len(rows):
-            rows[slot] = last
-            return last
-        return -1
-
-    def view(self):
-        return self.rows
-
-
 class _PositionsView:
     """Read-only ``oid -> Point`` mapping over the coordinate columns.
 
-    Keeps every ``grid._positions[oid]`` call site working unchanged on
-    the columnar layout; Points are materialized on access (the hot
-    paths slice the columns directly instead)."""
+    Serves the ``grid._positions[oid]`` call sites; Points are
+    materialized on access (the hot paths read the columns directly
+    instead)."""
 
     __slots__ = ("_store",)
 
@@ -190,137 +152,6 @@ class _PositionsView:
             yield oid, self[oid]
 
 
-class MappingStore:
-    """The original dict-backed layout (differential-testing reference)."""
-
-    kind = "mapping"
-    vectorized = False
-
-    def __init__(self) -> None:
-        self.positions: Dict[ObjectId, Point] = {}
-        self._categories: Dict[ObjectId, Category] = {}
-        self._cell_of: Dict[ObjectId, CellKey] = {}
-        # cell key -> category -> set of object ids.  Cells spring into
-        # existence on first insert, so an almost-empty huge grid stays
-        # cheap.
-        self._cells: Dict[CellKey, Dict[Category, Set[ObjectId]]] = {}
-        # category -> ids of that category, so per-category enumeration
-        # and counting never scan the whole population.
-        self._by_category: Dict[Category, Set[ObjectId]] = {}
-
-    # -- mutation ------------------------------------------------------
-
-    def insert(self, oid: ObjectId, p: Point, category: Category, key: CellKey) -> None:
-        self.positions[oid] = p
-        self._categories[oid] = category
-        self._cell_of[oid] = key
-        self._cells.setdefault(key, {}).setdefault(category, set()).add(oid)
-        self._by_category.setdefault(category, set()).add(oid)
-
-    def remove(self, oid: ObjectId) -> Tuple[Point, CellKey, Category]:
-        pos = self.positions.pop(oid)
-        category = self._categories.pop(oid)
-        key = self._cell_of.pop(oid)
-        bucket = self._cells[key][category]
-        bucket.discard(oid)
-        if not bucket:
-            del self._cells[key][category]
-            if not self._cells[key]:
-                del self._cells[key]
-        ids = self._by_category[category]
-        ids.discard(oid)
-        if not ids:
-            del self._by_category[category]
-        return pos, key, category
-
-    def move(self, oid: ObjectId, p: Point, new_key: CellKey) -> Optional[CellKey]:
-        """Update a position; returns the old cell key on a boundary
-        crossing, ``None`` for a within-cell move."""
-        old_key = self._cell_of[oid]
-        self.positions[oid] = p
-        if new_key == old_key:
-            return None
-        category = self._categories[oid]
-        cells = self._cells
-        bucket = cells[old_key][category]
-        bucket.discard(oid)
-        if not bucket:
-            del cells[old_key][category]
-            if not cells[old_key]:
-                del cells[old_key]
-        cells.setdefault(new_key, {}).setdefault(category, set()).add(oid)
-        self._cell_of[oid] = new_key
-        return old_key
-
-    def bulk_move(self, oids, coords, xmin, ymin, inv_w, inv_h, size):
-        return None  # object-at-a-time only
-
-    # -- lookup --------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __contains__(self, oid: ObjectId) -> bool:
-        return oid in self.positions
-
-    def position(self, oid: ObjectId) -> Point:
-        return self.positions[oid]
-
-    def category(self, oid: ObjectId) -> Category:
-        return self._categories[oid]
-
-    def cell_of(self, oid: ObjectId) -> CellKey:
-        return self._cell_of[oid]
-
-    def objects_in_cell(
-        self, key: CellKey, category: Optional[Category] = None
-    ) -> Iterator[ObjectId]:
-        buckets = self._cells.get(key)
-        if not buckets:
-            return
-        if category is None:
-            for bucket in buckets.values():
-                yield from bucket
-        else:
-            yield from buckets.get(category, ())
-
-    def cell_population(self, key: CellKey, category: Optional[Category] = None) -> int:
-        buckets = self._cells.get(key)
-        if not buckets:
-            return 0
-        if category is None:
-            return sum(len(bucket) for bucket in buckets.values())
-        return len(buckets.get(category, ()))
-
-    def objects(self, category: Optional[Category] = None) -> Iterator[ObjectId]:
-        if category is None:
-            yield from self.positions
-        else:
-            yield from self._by_category.get(category, ())
-
-    def count(self, category: Optional[Category] = None) -> int:
-        if category is None:
-            return len(self.positions)
-        return len(self._by_category.get(category, ()))
-
-    def occupied_cells(self) -> Iterator[CellKey]:
-        yield from self._cells
-
-    def occupied_count(self) -> int:
-        return len(self._cells)
-
-    def positions_snapshot(
-        self, category: Optional[Category] = None
-    ) -> Dict[ObjectId, Tuple[float, float]]:
-        if category is None:
-            return {oid: (p.x, p.y) for oid, p in self.positions.items()}
-        positions = self.positions
-        return {
-            oid: (positions[oid].x, positions[oid].y)
-            for oid in self._by_category.get(category, ())
-        }
-
-
 class ColumnarStore:
     """Struct-of-arrays layout with a per-cell row index.
 
@@ -331,13 +162,13 @@ class ColumnarStore:
         access yields native Python floats (indexing a numpy array
         returns ``np.float64`` scalars whose arithmetic is several times
         slower, which the row-by-row kernel paths would pay on every
-        object).  When numpy is available, ``xs_np``/``ys_np`` are
-        zero-copy writable views over the same buffers for the sliced
-        kernel paths and bulk moves; the views are rebuilt whenever the
-        buffers reallocate (growth and compaction — nowhere else).
+        object).  ``xs_np``/``ys_np`` are zero-copy writable numpy
+        views over the same buffers for the sliced kernel paths and bulk
+        moves; the views are rebuilt whenever the buffers reallocate
+        (growth and compaction — nowhere else).
     ``cix, ciy``
         int cell coordinates of the row's current cell (``array('q')``,
-        with ``cix_np``/``ciy_np`` views under numpy).
+        with ``cix_np``/``ciy_np`` views).
     ``oids``
         row -> object id (``None`` for free rows).
     ``slots``
@@ -350,22 +181,13 @@ class ColumnarStore:
     columns and remaps the buckets in one pass.
     """
 
-    kind = "columnar"
-
-    def __init__(self, vector: Optional[bool] = None):
-        #: Whether the numpy fast paths (bulk moves, sliced kernels) run.
-        self.vectorized = (_np is not None) if vector is None else (
-            vector and _np is not None
-        )
+    def __init__(self) -> None:
         cap = 16
         self.xs = array("d", bytes(8 * cap))
         self.ys = array("d", bytes(8 * cap))
         self.cix = array("q", bytes(8 * cap))
         self.ciy = array("q", bytes(8 * cap))
-        self._rowlist = _RowListNp if self.vectorized else _RowListPy
-        self.xs_np = self.ys_np = self.cix_np = self.ciy_np = None
-        if self.vectorized:
-            self._refresh_views()
+        self._refresh_views()
         self.oids: List[Optional[ObjectId]] = []
         self.slots: List[int] = []
         self.row_of: Dict[ObjectId, int] = {}
@@ -385,24 +207,22 @@ class ColumnarStore:
     def _refresh_views(self) -> None:
         """Rebuild the numpy views after the backing buffers reallocated
         (stale views would alias freed memory)."""
-        self.xs_np = _np.frombuffer(self.xs, dtype=_np.float64)
-        self.ys_np = _np.frombuffer(self.ys, dtype=_np.float64)
-        self.cix_np = _np.frombuffer(self.cix, dtype=_np.int64)
-        self.ciy_np = _np.frombuffer(self.ciy, dtype=_np.int64)
+        self.xs_np = np.frombuffer(self.xs, dtype=np.float64)
+        self.ys_np = np.frombuffer(self.ys, dtype=np.float64)
+        self.cix_np = np.frombuffer(self.cix, dtype=np.int64)
+        self.ciy_np = np.frombuffer(self.ciy, dtype=np.int64)
 
     def _grow(self) -> None:
         cap = self._capacity()
-        if self.vectorized:
-            # Release the buffer exports: an array cannot resize while
-            # numpy views reference it.  Gathered slices are copies, so
-            # no kernel holds the raw buffers across a mutation.
-            self.xs_np = self.ys_np = self.cix_np = self.ciy_np = None
+        # Release the buffer exports: an array cannot resize while numpy
+        # views reference it.  Gathered slices are copies, so no kernel
+        # holds the raw buffers across a mutation.
+        del self.xs_np, self.ys_np, self.cix_np, self.ciy_np
         self.xs.extend(array("d", bytes(8 * cap)))
         self.ys.extend(array("d", bytes(8 * cap)))
         self.cix.extend(array("q", bytes(8 * cap)))
         self.ciy.extend(array("q", bytes(8 * cap)))
-        if self.vectorized:
-            self._refresh_views()
+        self._refresh_views()
 
     def _alloc_row(self) -> int:
         free = self.free
@@ -422,7 +242,7 @@ class ColumnarStore:
             cell = self.buckets[key] = {}
         bucket = cell.get(category)
         if bucket is None:
-            bucket = cell[category] = self._rowlist()
+            bucket = cell[category] = _RowList()
         self.slots[row] = bucket.append(row)
 
     def _bucket_remove(self, key: CellKey, category: Category, row: int) -> None:
@@ -491,9 +311,6 @@ class ColumnarStore:
         (duplicate movers — their sequential last-wins semantics do not
         vectorize).  Raises ``KeyError`` on an unknown id, exactly like
         the scalar path."""
-        if not self.vectorized:
-            return None
-        np = _np
         row_of = self.row_of
         n = len(oids)
         rows = np.fromiter((row_of[o] for o in oids), dtype=np.int64, count=n)
@@ -553,33 +370,22 @@ class ColumnarStore:
         layout moves."""
         live = len(self.row_of)
         cap = max(16, live)
-        old_xs, old_ys, old_cix, old_ciy = self.xs, self.ys, self.cix, self.ciy
         remap: Dict[int, int] = {}
         oids: List[Optional[ObjectId]] = []
         self.xs = array("d", bytes(8 * cap))
         self.ys = array("d", bytes(8 * cap))
         self.cix = array("q", bytes(8 * cap))
         self.ciy = array("q", bytes(8 * cap))
-        if self.vectorized:
-            np = _np
-            old_views = (self.xs_np, self.ys_np, self.cix_np, self.ciy_np)
-            old_rows = np.fromiter(self.row_of.values(), dtype=np.int64, count=live)
-            self._refresh_views()
-            self.xs_np[:live] = old_views[0][old_rows]
-            self.ys_np[:live] = old_views[1][old_rows]
-            self.cix_np[:live] = old_views[2][old_rows]
-            self.ciy_np[:live] = old_views[3][old_rows]
-            for new_row, oid in enumerate(self.row_of):
-                remap[int(old_rows[new_row])] = new_row
-                oids.append(oid)
-        else:
-            for new_row, (oid, old_row) in enumerate(self.row_of.items()):
-                self.xs[new_row] = old_xs[old_row]
-                self.ys[new_row] = old_ys[old_row]
-                self.cix[new_row] = old_cix[old_row]
-                self.ciy[new_row] = old_ciy[old_row]
-                remap[old_row] = new_row
-                oids.append(oid)
+        old_views = (self.xs_np, self.ys_np, self.cix_np, self.ciy_np)
+        old_rows = np.fromiter(self.row_of.values(), dtype=np.int64, count=live)
+        self._refresh_views()
+        self.xs_np[:live] = old_views[0][old_rows]
+        self.ys_np[:live] = old_views[1][old_rows]
+        self.cix_np[:live] = old_views[2][old_rows]
+        self.ciy_np[:live] = old_views[3][old_rows]
+        for new_row, oid in enumerate(self.row_of):
+            remap[int(old_rows[new_row])] = new_row
+            oids.append(oid)
         self.oids = oids
         self.row_of = {oid: row for row, oid in enumerate(oids)}
         self.slots = [0] * live
@@ -631,7 +437,7 @@ class ColumnarStore:
         for bucket in self.cell_buckets(key, category):
             # One bulk int conversion beats per-element numpy extraction
             # even for callers that stop early.
-            for row in bucket.view().tolist() if self.vectorized else bucket.view():
+            for row in bucket.view().tolist():
                 yield oids[row]
 
     def cell_population(self, key: CellKey, category: Optional[Category] = None) -> int:
@@ -700,22 +506,3 @@ class ColumnarStore:
             for oid in ids:
                 assert self._cat_of[oid] == category
         assert by_cat_union == set(self.row_of)
-
-
-def make_store(kind: str):
-    """Store factory behind ``GridIndex(store=...)``.
-
-    ``"columnar"`` (default) — struct-of-arrays with vectorized kernels
-    when numpy is importable; ``"mapping"`` — the dict-backed reference
-    layout; ``"columnar-scalar"`` — the columnar layout with vectorization
-    forced off (exercises the ``array('d')``-style scalar seam)."""
-    if kind == "columnar":
-        return ColumnarStore()
-    if kind == "columnar-scalar":
-        return ColumnarStore(vector=False)
-    if kind == "mapping":
-        return MappingStore()
-    raise ValueError(
-        f"unknown store kind {kind!r} (expected 'columnar', 'mapping'"
-        " or 'columnar-scalar')"
-    )

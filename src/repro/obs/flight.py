@@ -80,6 +80,12 @@ class TickDigest:
         return out
 
 
+def _xy(p) -> Tuple[float, float]:
+    """The coordinates of a recorded ``PointLike`` position."""
+    x, y = p
+    return float(x), float(y)
+
+
 class FlightRecorder:
     """Bounded tick history with anomaly-triggered incident capture.
 
@@ -261,9 +267,11 @@ class FlightRecorder:
             ],
             "ticks": [
                 {
-                    "moves": [[oid, p.x, p.y] for oid, p in moves],
+                    # Generators may emit any PointLike — Point or a
+                    # plain (x, y) tuple — so unpack rather than read .x.
+                    "moves": [[oid, *_xy(p)] for oid, p in moves],
                     "inserts": [
-                        [oid, p.x, p.y, cat] for oid, p, cat in inserts
+                        [oid, *_xy(p), cat] for oid, p, cat in inserts
                     ],
                     "removes": list(removes),
                 }

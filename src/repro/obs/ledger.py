@@ -97,7 +97,7 @@ class QueryTickCost:
     shared_misses: int = 0
     exact_fallbacks: int = 0
     #: Columnar-store rows this query's kernels scanned (slice gathers and
-    #: their tiny-bucket scalar fallbacks; zero on the mapping backend).
+    #: row-by-row scans alike).
     store_rows: int = 0
     answer_size: int = 0
     monitored: int = 0

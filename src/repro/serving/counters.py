@@ -9,10 +9,12 @@ counts silently die with the worker: the gateway process reports only
 its own (near-zero) totals.
 
 This module is that seam.  Workers snapshot the singletons around their
-work and ship plain-data *deltas* back; the gateway folds them into its
-own process-global singletons with :func:`merge_stats`, so obs totals
-(``predicate_*_total``, ``network_*_total``, ``store_*_total``) stay
-correct no matter how many processes did the work.
+work and ship plain-data *deltas* back; a gateway over process shards
+folds them into its own process-global singletons with
+:func:`merge_stats`, so obs totals (``predicate_*_total``,
+``network_*_total``, ``store_*_total``) stay correct no matter how many
+processes did the work.  Inline shards already count into the gateway's
+singletons, so their deltas are not merged.
 """
 
 from __future__ import annotations

@@ -173,7 +173,6 @@ class ShardCluster:
         scheduler: bool = True,
         batch: bool = True,
         lease: bool = False,
-        store: str = "columnar",
         dt: float = 1.0,
         network=None,
         fanout_check: bool = False,
@@ -198,7 +197,6 @@ class ShardCluster:
                 if extent is not None
                 else None
             ),
-            store=store,
             scheduler=scheduler,
             batch=batch,
             lease=lease,
@@ -409,12 +407,17 @@ class ShardCluster:
 
     def collect_counters(self) -> None:
         """Pull per-shard counters: merge stat deltas into this
-        process's singletons, keep the latest registry snapshots."""
+        process's singletons, keep the latest registry snapshots.
+
+        Inline shards count straight into this process's singletons, so
+        their deltas are already there and merging them would count the
+        work twice."""
         for shard in self.shards:
             shard.send("counters", ())
         for shard in self.shards:
             payload = shard.recv()
-            merge_stats(payload["stats"])
+            if self.transport != "inline":
+                merge_stats(payload["stats"])
             self._registry_snapshots[payload["shard_id"]] = payload["registry"]
 
     def merged_registry(self) -> MetricsRegistry:

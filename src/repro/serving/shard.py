@@ -48,7 +48,6 @@ class ShardConfig:
     n_shards: int
     grid_size: int = 64
     extent: Optional[Tuple[float, float, float, float]] = None
-    store: str = "columnar"
     scheduler: bool = True
     batch: bool = True
     lease: bool = False
@@ -187,7 +186,6 @@ class ShardState:
             lease=config.lease,
             flight=False,
             ledger=False,
-            store=config.store,
         )
         #: Baseline for process-global stat deltas: under the fork start
         #: method a worker inherits the parent's already-advanced
@@ -233,7 +231,8 @@ class ShardState:
         """Per-shard observability payload, delta-based where global.
 
         The stats delta is *consumed*: each call ships only work since
-        the previous call, so the gateway can merge unconditionally.
+        the previous call, so a gateway in another process can merge it
+        unconditionally (an inline gateway already shares the counts).
         The registry snapshot is absolute and idempotent — the gateway
         keeps the latest per shard and merges into a fresh registry.
         """

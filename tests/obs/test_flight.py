@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.engine.simulation import Simulator
 from repro.engine.workload import WorkloadSpec, build_simulator, central_object
 from repro.fuzz import replay_artifact
 from repro.fuzz.corpus import ARTIFACT_VERSION as FUZZ_ARTIFACT_VERSION
@@ -169,3 +170,44 @@ class TestIncidentBundle:
             sim.step()
         assert len(rec.incidents) == 2
         assert rec.incidents[-1]["flight"]["reason"] == "spike 2"
+
+
+class _TupleWalk:
+    """Five objects whose ``step`` yields plain ``(x, y)`` tuples — a
+    ``PointLike`` the grid accepts, unlike ``Point`` with no ``.x``."""
+
+    def __init__(self):
+        self.pos = {i: (0.1 + 0.2 * i, 0.5) for i in range(5)}
+
+    def initial(self):
+        return [(oid, xy, 0) for oid, xy in self.pos.items()]
+
+    def step(self, dt=1.0):
+        self.pos = {oid: (x, min(1.0, y + 0.01)) for oid, (x, y) in self.pos.items()}
+        return list(self.pos.items())
+
+
+class TestTuplePositions:
+    def test_flagged_capture_of_tuple_moves_does_not_crash_the_tick(
+        self, tmp_path
+    ):
+        walk = _TupleWalk()
+        sim = Simulator(walk, grid_size=4, ledger=False)
+        sim.add_query(
+            "igern",
+            IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=(0.5, 0.5))),
+        )
+        sim.execute_queries()
+        sim.step()
+        sim.step()
+        sim.flight.flag("x")
+        sim.step()
+
+        assert sim.poisoned_tick is None
+        assert sim.obs_hook_errors == 0
+        [bundle] = sim.flight.incidents
+        ticks = bundle["scenario"]["script"]["ticks"]
+        assert ticks[-1]["moves"][0] == [0, *walk.pos[0]]
+        path = tmp_path / "incident.json"
+        path.write_text(json.dumps(bundle))
+        assert replay_artifact(path).divergences == []

@@ -5,8 +5,12 @@ import random
 
 import pytest
 
+from repro.engine.simulation import Simulator
+from repro.geometry.point import Point
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import AsyncGateway, QuerySpec, ShardCluster
 from repro.serving.counters import stats_snapshot
+from repro.serving.shard import PushFeed, build_query, decode_events
 
 N = 100
 
@@ -157,11 +161,46 @@ def test_counters_requests_ship_deltas_not_totals():
     assert after == mid
 
 
+def test_inline_collect_counters_does_not_double_count():
+    """An inline shard counts straight into this process's STATS
+    singletons; folding its consumed delta back into them made the
+    shard's next tick publish that work a second time."""
+    initial = _initial(12)
+    rng = random.Random(13)
+    script = [
+        [(oid, rng.random(), rng.random()) for oid in rng.sample(range(N), 25)]
+        for _ in range(5)
+    ]
+    spec = QuerySpec(name="q0", point=(0.5, 0.5), k=2)
+
+    feed = PushFeed([(oid, Point(x, y), cat) for oid, x, y, cat in initial])
+    bare_registry = MetricsRegistry()
+    sim = Simulator(
+        feed, grid_size=8, registry=bare_registry, flight=False, ledger=False
+    )
+    sim.add_query("q0", build_query(spec, sim, None))
+    sim.execute_queries()
+    for moves in script:
+        feed.push(decode_events(moves, [], []))
+        sim.step()
+    expected = bare_registry.get("store_rows_scanned_total").value
+
+    with ShardCluster(
+        1, grid_size=8, transport="inline", registry=MetricsRegistry()
+    ) as cluster:
+        cluster.load(initial)
+        cluster.add_query(spec)
+        cluster.initial_eval()
+        for moves in script:
+            cluster.tick(moves)
+            cluster.collect_counters()
+        merged = cluster.merged_registry()
+    assert expected > 0
+    assert merged.get("store_rows_scanned_total").value == expected
+
+
 def test_gateway_metrics_published():
     registry_probe = {}
-
-    from repro.obs.metrics import MetricsRegistry
-
     registry = MetricsRegistry()
     with ShardCluster(
         2, grid_size=8, transport="inline", registry=registry

@@ -21,11 +21,12 @@ Three state machines:
   per-tick context genuinely memoizes across them — neither batching
   nor lease-held skips may ever change an answer, under any
   interleaving of movement, churn and pause/resume;
-- :class:`StoreLockstepMachine` drives the columnar, forced-scalar and
-  mapping storage backends through identical mutation sequences (single
-  ops and ``apply_updates`` batches) and asserts observational identity
-  plus the columnar store's internal row/bucket/free-list invariants at
-  every step.
+- :class:`StoreLockstepMachine` drives the grid's columnar store and a
+  plain dict model through identical mutation sequences (single ops and
+  ``apply_updates`` batches) and asserts the grid shows exactly the
+  model's state and deltas, the search kernels match a brute scan of the
+  model, and the store keeps its internal row/bucket/free-list
+  invariants at every step.
 """
 
 import math
@@ -49,6 +50,13 @@ from repro.grid.search import GridSearch
 from repro.motion.churn import TickEvents
 from repro.queries import IGERNMonoQuery, QueryPosition
 from repro.queries.brute import BruteForceMonoQuery, brute_bi_rnn, brute_mono_rnn
+from tests.grid.test_store import (
+    check_exact_kernels,
+    check_kernels,
+    expected_state,
+    model_apply,
+    observable_state,
+)
 
 coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False).map(
     lambda v: round(v, 6)
@@ -189,6 +197,19 @@ class _EventFeed:
         return events
 
 
+class _StepClock:
+    """Deterministic ``Simulator(clock=...)``: every reading advances one
+    millisecond, so tick latencies — and with them the flight recorder's
+    latency-anomaly captures — follow the call sequence, not wall time."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1e-3
+        return self.now
+
+
 class SchedulerLockstepMachine(RuleBasedStateMachine):
     """Scheduler-on must equal scheduler-off under any event sequence.
 
@@ -218,10 +239,18 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
         self.feed_on = _EventFeed(self._INITIAL)
         self.feed_off = _EventFeed(self._INITIAL)
         self.feed_lease = _EventFeed(self._INITIAL)
-        self.sim_on = Simulator(self.feed_on, grid_size=6, scheduler=True)
-        self.sim_off = Simulator(self.feed_off, grid_size=6, scheduler=False)
+        self.sim_on = Simulator(
+            self.feed_on, grid_size=6, scheduler=True, clock=_StepClock()
+        )
+        self.sim_off = Simulator(
+            self.feed_off, grid_size=6, scheduler=False, clock=_StepClock()
+        )
         self.sim_lease = Simulator(
-            self.feed_lease, grid_size=6, scheduler=True, lease=True
+            self.feed_lease,
+            grid_size=6,
+            scheduler=True,
+            lease=True,
+            clock=_StepClock(),
         )
         for sim in (self.sim_on, self.sim_off, self.sim_lease):
             sim.add_query(
@@ -375,14 +404,29 @@ class BatchLockstepMachine(RuleBasedStateMachine):
         super().__init__()
         self.feeds = [_EventFeed(self._INITIAL) for _ in range(4)]
         self.sim_batch = Simulator(
-            self.feeds[0], grid_size=6, scheduler=True, batch=True
+            self.feeds[0],
+            grid_size=6,
+            scheduler=True,
+            batch=True,
+            clock=_StepClock(),
         )
         self.sim_plain = Simulator(
-            self.feeds[1], grid_size=6, scheduler=True, batch=False
+            self.feeds[1],
+            grid_size=6,
+            scheduler=True,
+            batch=False,
+            clock=_StepClock(),
         )
-        self.sim_off = Simulator(self.feeds[2], grid_size=6, scheduler=False)
+        self.sim_off = Simulator(
+            self.feeds[2], grid_size=6, scheduler=False, clock=_StepClock()
+        )
         self.sim_lease = Simulator(
-            self.feeds[3], grid_size=6, scheduler=True, batch=True, lease=True
+            self.feeds[3],
+            grid_size=6,
+            scheduler=True,
+            batch=True,
+            lease=True,
+            clock=_StepClock(),
         )
         self.sims = (self.sim_batch, self.sim_plain, self.sim_off, self.sim_lease)
         for sim in self.sims:
@@ -495,106 +539,82 @@ class BatchLockstepMachine(RuleBasedStateMachine):
 
 
 class StoreLockstepMachine(RuleBasedStateMachine):
-    """The three storage backends driven in lockstep must be
-    observationally identical at every step.
+    """The grid's columnar store against a plain dict model, step by step.
 
     Mutations arrive both one at a time (``insert``/``move``/``remove``)
     and as ``apply_updates`` batches — the engine's path, which also
-    exercises the columnar bulk-move kernel and the per-cell delta
-    bookkeeping.  After every step the backends must agree on positions,
-    per-cell membership and a search probe, and the columnar layouts
-    must pass their full internal consistency check (rows, buckets,
-    slots, free list, category sets)."""
-
-    _KINDS = ("columnar", "columnar-scalar", "mapping")
+    exercises the per-cell delta bookkeeping.  Every batch's
+    :class:`TickDelta` must equal the one the model implies; after every
+    step the grid must show the model's positions, cells and categories,
+    the closer-than kernels must return what a brute scan of the model
+    returns, and the store must pass its full internal consistency
+    check (rows, buckets, slots, free list, category sets)."""
 
     def __init__(self):
         super().__init__()
-        self.grids = {kind: GridIndex(5, store=kind) for kind in self._KINDS}
-        self.searches = {
-            kind: GridSearch(grid) for kind, grid in self.grids.items()
-        }
-        self.live = []
+        self.grid = GridIndex(5)
+        self.search = GridSearch(self.grid)
+        #: oid -> (position, category)
+        self.model = {}
         self.next_id = 0
+
+    def _live(self):
+        return sorted(self.model)
 
     @rule(pos=point, category=st.sampled_from([None, "A", "B"]))
     def insert(self, pos, category):
         oid = self.next_id
         self.next_id += 1
-        self.live.append(oid)
-        for grid in self.grids.values():
-            grid.insert(oid, pos, category)
+        self.grid.insert(oid, pos, category)
+        self.model[oid] = (pos, category)
 
-    @precondition(lambda self: self.live)
+    @precondition(lambda self: self.model)
     @rule(data=st.data(), pos=point)
     def move(self, data, pos):
-        oid = data.draw(st.sampled_from(self.live))
-        for grid in self.grids.values():
-            grid.move(oid, pos)
+        oid = data.draw(st.sampled_from(self._live()))
+        self.grid.move(oid, pos)
+        self.model[oid] = (pos, self.model[oid][1])
 
-    @precondition(lambda self: self.live)
+    @precondition(lambda self: self.model)
     @rule(data=st.data())
     def remove(self, data):
-        oid = data.draw(st.sampled_from(self.live))
-        self.live.remove(oid)
-        for grid in self.grids.values():
-            grid.remove(oid)
+        oid = data.draw(st.sampled_from(self._live()))
+        p = self.grid.remove(oid)
+        assert (p.x, p.y) == self.model.pop(oid)[0]
 
-    @precondition(lambda self: self.live)
+    @precondition(lambda self: self.model)
     @rule(data=st.data())
     def batch_tick(self, data):
-        targets = data.draw(
-            st.lists(st.sampled_from(self.live), unique=True, max_size=6)
+        live = self._live()
+        removes = data.draw(st.lists(st.sampled_from(live), unique=True, max_size=2))
+        movable = [oid for oid in live if oid not in removes]
+        targets = (
+            data.draw(st.lists(st.sampled_from(movable), unique=True, max_size=6))
+            if movable
+            else []
         )
         moves = [(oid, data.draw(point)) for oid in targets]
         inserts = []
         for pos in data.draw(st.lists(point, max_size=2)):
             inserts.append((self.next_id, pos, None))
-            self.live.append(self.next_id)
             self.next_id += 1
-        deltas = {}
-        for kind, grid in self.grids.items():
-            delta = grid.apply_updates(moves, inserts=inserts)
-            deltas[kind] = (
-                frozenset(delta.moved),
-                frozenset(delta.dirty_cells),
-                frozenset(delta.touched_cells),
-            )
-        assert deltas["columnar"] == deltas["mapping"]
-        assert deltas["columnar-scalar"] == deltas["mapping"]
+        expected = model_apply(self.grid, self.model, moves, inserts, removes)
+        delta = self.grid.apply_updates(moves, inserts=inserts, removes=removes)
+        assert delta == expected
 
     @invariant()
-    def backends_observationally_identical(self):
-        ref = self.grids["mapping"]
-        snap = ref.positions_snapshot()
-        cells = {
-            key: frozenset(ref.objects_in_cell(key))
-            for key in ref.occupied_cells()
-        }
-        for kind in ("columnar", "columnar-scalar"):
-            grid = self.grids[kind]
-            assert grid.positions_snapshot() == snap
-            assert {
-                key: frozenset(grid.objects_in_cell(key))
-                for key in grid.occupied_cells()
-            } == cells
+    def grid_matches_model(self):
+        assert observable_state(self.grid) == expected_state(self.grid, self.model)
 
     @invariant()
     def columnar_internal_consistency(self):
-        for kind in ("columnar", "columnar-scalar"):
-            self.grids[kind]._store.check_invariants()
+        self.grid._store.check_invariants()
 
-    @precondition(lambda self: self.live)
+    @precondition(lambda self: self.model)
     @invariant()
-    def search_probe_identical(self):
-        probes = {}
-        for kind, search in self.searches.items():
-            probes[kind] = (
-                search.count_closer_than((0.4, 0.6), threshold_sq=0.09),
-                sorted(search.witnesses_closer_than((0.4, 0.6), 0.09)),
-            )
-        assert probes["columnar"] == probes["mapping"]
-        assert probes["columnar-scalar"] == probes["mapping"]
+    def search_probe_matches_brute(self):
+        check_kernels(self.search, self.model, (0.4, 0.6), 0.09)
+        check_exact_kernels(self.search, self.model, (0.4, 0.6), (0.5, 0.5))
 
 
 TestGridIndexStateful = GridIndexMachine.TestCase
