@@ -15,7 +15,7 @@ rather than the whole space.  These live in :class:`MonoState` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.geometry.point import Point, dist, dist_sq
 from repro.grid.alive import AliveCellGrid
@@ -81,6 +81,21 @@ class StepReport:
     def monitored_count(self) -> int:
         return len(self.monitored)
 
+    @property
+    def settled(self) -> bool:
+        """Whether re-running this step on unchanged positions is a no-op.
+
+        True for an incremental step that absorbed and pruned nothing: it
+        found the region exhausted and verified against the final
+        candidate set, so a repeat would read the same cells and count
+        the same witnesses.  An initial step is never settled — its
+        best-first loop and the incremental region scan can disagree on
+        which straddling cells they reach — and neither is a step that
+        absorbed or pruned, since its region and candidates moved under
+        its own scan.
+        """
+        return not self.is_initial and self.tightened == 0 and self.pruned == 0
+
     def carried(self) -> "StepReport":
         """A zero-ops copy of this report for a tick the engine skipped.
 
@@ -108,13 +123,16 @@ class MonoState:
     alive: AliveCellGrid = None  # type: ignore[assignment]
     answer: Set[ObjectId] = field(default_factory=set)
 
-    def footprint_cells(self, grid, cap: int = FOOTPRINT_CELL_CAP) -> Optional[set]:
+    def footprint_cells(
+        self, grid, cap: int = FOOTPRINT_CELL_CAP
+    ) -> Optional[Tuple[set, set]]:
         """The cells the next incremental step's outcome can depend on.
 
         The monitored alive region (tightening reads exactly these cells
         on the scan path) plus, per candidate ``c``, a cover of the
         witness ball ``B(c, dist(c, q))`` (verification counts the
-        objects strictly inside it).  Returns ``None`` when no valid
+        objects strictly inside it).  Returns ``(cells, region)`` — the
+        whole cover and its alive-region part — or ``None`` when no valid
         bounded footprint exists: for ``k = 1`` whenever the region bound
         exceeds :data:`SCAN_CELL_LIMIT` (the executor would fall back to
         the unbounded best-first search, whose reach footprints cannot
@@ -123,14 +141,15 @@ class MonoState:
         alive = self.alive
         if alive.k == 1 and alive.alive_cell_bound() > SCAN_CELL_LIMIT:
             return None
-        cells = set(alive.alive_cells())
-        if len(cells) > cap:
+        region = set(alive.alive_cells())
+        if len(region) > cap:
             return None
+        cells = set(region)
         q = self.qpos
         for pos in self.candidates.values():
             if not _add_ball_cells(grid, pos, dist(pos, q), cells, cap):
                 return None
-        return cells
+        return cells, region
 
     def check_invariants(self, grid, k: int = 1, query_id=None) -> List[str]:
         """Structural soundness of the monitored state, as violations.
@@ -214,7 +233,7 @@ class BiState:
 
     def footprint_cells(
         self, grid, cat_b, cap: int = FOOTPRINT_CELL_CAP
-    ) -> Optional[set]:
+    ) -> Optional[Tuple[set, set, list]]:
         """The cells the next incremental step's outcome can depend on.
 
         The monitored alive region (both the A-tightening and the B
@@ -222,24 +241,28 @@ class BiState:
         B object currently inside it, a cover of its witness ball
         ``B(b, dist(b, q))`` — the region where A objects decide ``b``'s
         membership *and* where ``b``'s nearest A (the one absorption into
-        ``NN_A`` depends on) must lie.  ``None`` when the region bound
-        exceeds :data:`SCAN_CELL_LIMIT` (unbounded fallback path) or the
-        cover outgrows ``cap``.
+        ``NN_A`` depends on) must lie.  Returns ``(cells, region,
+        centres)`` — the whole cover, its alive-region part, and the
+        ``(id, position)`` of every B object whose ball it covers — or
+        ``None`` when the region bound exceeds :data:`SCAN_CELL_LIMIT`
+        (unbounded fallback path) or the cover outgrows ``cap``.
         """
         alive = self.alive
         if alive.alive_cell_bound() > SCAN_CELL_LIMIT:
             return None
-        region = list(alive.alive_cells())
-        cells = set(region)
-        if len(cells) > cap:
+        region = set(alive.alive_cells())
+        if len(region) > cap:
             return None
+        cells = set(region)
+        centres = []
         q = self.qpos
         for key in region:
             for ob in grid.objects_in_cell(key, cat_b):
                 pos = grid.position(ob)
+                centres.append((ob, pos))
                 if not _add_ball_cells(grid, pos, dist(pos, q), cells, cap):
                     return None
-        return cells
+        return cells, region, centres
 
     def check_invariants(
         self, grid, cat_a, cat_b, k: int = 1, query_id=None

@@ -7,31 +7,40 @@ answers one question: *which queries could this tick's changes possibly
 affect?*  Everything else carries its previous answer forward untouched.
 
 The decision is conservative by construction (see ``docs/PERFORMANCE.md``
-for the correctness argument): a query is skipped only when
+for the correctness argument).  A query is evaluated when
 
-- its query object and every monitored object were stationary (none of
-  its footprint ``objects`` appears among the tick's moved / inserted /
-  removed ids), and
-- no object moved within, entered, or left any of its footprint
-  ``cells`` (its cells are disjoint from the delta's ``touched_cells``,
-  which include the cells of *within-cell* movers).
+- its query object or a monitored object moved, was inserted or was
+  removed (one of its footprint ``objects`` is among the tick's changed
+  ids), or
+- an object moved within, entered, or left one of its footprint
+  ``cells`` (the delta's ``touched_cells`` include the cells of
+  *within-cell* movers) — and, when the footprint is *settled*, one of
+  those movers passes the exact per-mover test of
+  :class:`~repro.queries.base.QueryFootprint`: it left or landed in an
+  alive cell, or crossed a witness ball in a direction that can change
+  the answer or the monitored set.
 
-Queries without a footprint (snapshot baselines, or stateful monitors
-whose region momentarily has no bounded cover) are evaluated every tick.
+A settled cell hit that fails the exact test is skipped under the
+``no-effect`` reason.  Queries without a footprint (snapshot baselines,
+or stateful monitors whose region momentarily has no bounded cover) are
+evaluated every tick.
 
 Two reverse indices — cell → interested queries and object id →
 interested queries — are maintained incrementally as footprints change,
 so per-tick matching costs are proportional to the change volume (or to
 the footprint sizes, whichever side is smaller), never to the number of
-registered queries times the grid size.
+registered queries times the grid size.  The exact test only runs on the
+movers of a settled query's hit cells.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Set
 
+from repro.geometry.predicates import closer_than
 from repro.grid.delta import CellKey, TickDelta
 from repro.leases import Lease, LeaseState
+from repro.obs.ledger import REASON_FOOTPRINT_ENTER, REASON_OBJECT_MOVED
 from repro.queries.base import QueryFootprint
 
 ObjectId = Hashable
@@ -48,6 +57,10 @@ class TickScheduler:
         self._obj_index: Dict[ObjectId, Set[str]] = {}
         #: Active safe-region leases by query name (lease mode only).
         self._leases: Dict[str, LeaseState] = {}
+        #: Queries the last :meth:`affected` call skipped although the
+        #: delta touched their footprint cells: no mover could change
+        #: their state (ledger reason ``no-effect``).
+        self.no_effect: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Footprint maintenance
@@ -196,79 +209,47 @@ class TickScheduler:
     # Per-tick matching
     # ------------------------------------------------------------------
 
-    def affected(self, delta: TickDelta) -> Set[str]:
-        """Names of footprinted queries this delta could affect.
+    def affected(self, delta: TickDelta) -> Dict[str, str]:
+        """The footprinted queries this delta could affect, with why.
 
-        Queries in always-evaluate mode are *not* included — the engine
-        evaluates them unconditionally; this returns only the footprint
-        hits.  Matching iterates the cheaper side: the delta's touched
-        cells against the cell index when the tick is quiet, or each
-        footprint against the delta when the tick is busy.
-        """
-        out: Set[str] = set()
-        touched = delta.touched_cells
-        cell_index = self._cell_index
-        # Total indexed footprint size, to pick the iteration side.
-        index_size = len(cell_index)
-        if len(touched) <= index_size or not self._footprints:
-            for key in touched:
-                owners = cell_index.get(key)
-                if owners is not None:
-                    out.update(owners)
-            obj_index = self._obj_index
-            for ids in (delta.moved, delta.inserted, delta.removed):
-                if len(ids) <= len(obj_index):
-                    for oid in ids:
-                        owners = obj_index.get(oid)
-                        if owners is not None:
-                            out.update(owners)
-                else:
-                    for oid, owners in obj_index.items():
-                        if oid in ids:
-                            out.update(owners)
-        else:
-            changed = delta.changed_ids()
-            for name, fp in self._footprints.items():
-                if not fp.cells.isdisjoint(touched) or not fp.objects.isdisjoint(
-                    changed
-                ):
-                    out.add(name)
-        return out
-
-    def affected_reasons(self, delta: TickDelta) -> Dict[str, str]:
-        """:meth:`affected`, but each hit carries *why* it matched.
-
-        Returns ``{query_name: reason}`` over exactly the same key set
-        :meth:`affected` would return.  Reasons are the machine-readable
-        codes of :mod:`repro.obs.ledger`:
+        Returns ``{query_name: reason}``; the keys are the queries to
+        evaluate.  Reasons are the machine-readable codes of
+        :mod:`repro.obs.ledger`:
 
         - ``footprint-enter`` — an object moved within / entered / left
-          one of the query's footprint cells;
+          one of the query's footprint cells (for a settled footprint:
+          and the exact per-mover test found a change that matters);
         - ``object-moved`` — a monitored object (or the query object
           itself) moved, was inserted, or was removed, without touching
           a footprint cell.
 
-        When both apply, the cell reason wins — deterministically, so
-        ledger records are stable across runs.  This walk mirrors the
-        cheaper-side iteration of :meth:`affected` and is only invoked
-        when the cost ledger is enabled; the hot disabled path keeps the
-        set-only variant.
+        When both apply, the cell reason wins, so ledger records are
+        stable across runs.  A cell-only hit on a settled footprint whose
+        movers all fail the exact test is left out and its name put in
+        :attr:`no_effect` instead.  Queries in always-evaluate mode are
+        *not* included — the engine evaluates them unconditionally.
+        Matching iterates the cheaper side: the delta's touched cells
+        against the cell index when the tick is quiet, or each footprint
+        against the delta when the tick is busy.
         """
-        from repro.obs.ledger import (
-            REASON_FOOTPRINT_ENTER,
-            REASON_OBJECT_MOVED,
-        )
-
         out: Dict[str, str] = {}
+        no_effect = self.no_effect
+        no_effect.clear()
         touched = delta.touched_cells
         cell_index = self._cell_index
-        index_size = len(cell_index)
-        if len(touched) <= index_size or not self._footprints:
+        footprints = self._footprints
+        # Cell hits, with the hit cells of each query for the refinement.
+        hits: Dict[str, list] = {}
+        if len(touched) <= len(cell_index) or not footprints:
             for key in touched:
                 owners = cell_index.get(key)
                 if owners is not None:
                     for name in owners:
-                        out[name] = REASON_FOOTPRINT_ENTER
+                        keys = hits.get(name)
+                        if keys is None:
+                            hits[name] = [key]
+                        else:
+                            keys.append(key)
             obj_index = self._obj_index
             for ids in (delta.moved, delta.inserted, delta.removed):
                 if len(ids) <= len(obj_index):
@@ -276,17 +257,60 @@ class TickScheduler:
                         owners = obj_index.get(oid)
                         if owners is not None:
                             for name in owners:
-                                out.setdefault(name, REASON_OBJECT_MOVED)
+                                out[name] = REASON_OBJECT_MOVED
                 else:
                     for oid, owners in obj_index.items():
                         if oid in ids:
                             for name in owners:
-                                out.setdefault(name, REASON_OBJECT_MOVED)
+                                out[name] = REASON_OBJECT_MOVED
         else:
             changed = delta.changed_ids()
-            for name, fp in self._footprints.items():
-                if not fp.cells.isdisjoint(touched):
-                    out[name] = REASON_FOOTPRINT_ENTER
-                elif not fp.objects.isdisjoint(changed):
+            for name, fp in footprints.items():
+                if not fp.objects.isdisjoint(changed):
                     out[name] = REASON_OBJECT_MOVED
+                if not fp.cells.isdisjoint(touched):
+                    hits[name] = fp.cells & touched
+        leases = self._leases
+        for name, keys in hits.items():
+            fp = footprints[name]
+            if (
+                name in out
+                or not fp.settled
+                or (name in leases and leases[name].tainted)
+                or _may_change(fp, delta, keys)
+            ):
+                out[name] = REASON_FOOTPRINT_ENTER
+            else:
+                no_effect.add(name)
         return out
+
+
+def _may_change(fp: QueryFootprint, delta: TickDelta, keys) -> bool:
+    """Whether any mover in the hit ``keys`` can change the settled
+    query's state: the exact per-mover rules of :class:`QueryFootprint`.
+
+    A hit cell without recorded endpoints counts as a change."""
+    alive = fp.alive
+    q = fp.qpos
+    enter = fp.enter_balls
+    leave = fp.leave_balls
+    for key in keys:
+        movers = delta.movers_in(key)
+        if movers is None:
+            return True
+        for _oid, p0, key0, p1, key1 in movers:
+            if key0 in alive or key1 in alive:
+                return True
+            if p1 is not None:
+                for c in enter:
+                    if closer_than(c, p1, q) and (
+                        p0 is None or not closer_than(c, p0, q)
+                    ):
+                        return True
+            if p0 is not None:
+                for c in leave:
+                    if closer_than(c, p0, q) and (
+                        p1 is None or not closer_than(c, p1, q)
+                    ):
+                        return True
+    return False

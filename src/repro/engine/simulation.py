@@ -14,7 +14,7 @@ import heapq
 import logging
 import math
 import time
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional
 
 from repro.engine.batch import BatchExecutor
 from repro.engine.metrics import QueryLog, SimulationResult, TickMetrics, diff_ops
@@ -28,12 +28,15 @@ from repro.obs.flight import FlightRecorder, TickDigest
 from repro.leases import LeaseState
 from repro.obs.ledger import (
     EVALUATED,
+    OUTCOME_CHANGED,
+    OUTCOME_UNCHANGED,
     REASON_DELTA_DISJOINT,
     REASON_FOOTPRINT_HIT,
     REASON_INITIAL,
     REASON_LEASE_BROKEN,
     REASON_LEASE_HELD,
     REASON_LEASE_NONE,
+    REASON_NO_EFFECT,
     REASON_NO_FOOTPRINT,
     REASON_RESUME_FORCED,
     REASON_SCHEDULER_OFF,
@@ -47,6 +50,18 @@ from repro.obs.trace import get_tracer
 from repro.queries.base import ContinuousQuery
 
 logger = logging.getLogger(__name__)
+
+
+def _unchanged(before, metrics: TickMetrics, report) -> bool:
+    """Whether an evaluation reproduced the previous answer and monitored
+    set.  ``before`` is ``(previous metrics, previous step report)``;
+    executors without step reports compare monitored counts."""
+    last, last_report = before
+    if last is None or metrics.answer != last.answer:
+        return False
+    if report is not None and last_report is not None:
+        return report.monitored == last_report.monitored
+    return metrics.monitored == last.monitored
 
 
 class _GuardedSpan:
@@ -217,8 +232,11 @@ class Simulator:
         self._last_metrics: Dict[str, TickMetrics] = {}
         #: Running totals for quick introspection (mirrored into the
         #: metrics registry as ``queries_evaluated_total`` /
-        #: ``ticks_skipped_total`` when one is active).
+        #: ``queries_evaluated_unchanged_total`` / ``ticks_skipped_total``
+        #: when one is active).  An *unchanged* evaluation is a repeat
+        #: evaluation whose answer and monitored set came out identical.
         self.queries_evaluated = 0
+        self.queries_evaluated_unchanged = 0
         self.ticks_skipped = 0
         #: Observability hook failures swallowed by :meth:`step`
         #: (mirrored into the registry as ``obs_hook_errors_total``).
@@ -414,24 +432,14 @@ class Simulator:
                     out = self.execute_queries()
                 else:
                     sched_start = self.clock()
-                    if ledger_on:
-                        # The reason-annotated matcher costs slightly
-                        # more than the set-only one, so it runs only
-                        # while the ledger is recording.
-                        reasons = self.scheduler.affected_reasons(delta)
-                        run = set(reasons)
-                    else:
-                        reasons = None
-                        run = self.scheduler.affected(delta)
+                    run = self.scheduler.affected(delta)
                     lease_skips = None
                     if self.lease_mode:
-                        run, reasons, lease_skips = self._apply_leases(
-                            delta, run, reasons
+                        lease_skips = self._apply_leases(
+                            delta, run, annotate=ledger_on
                         )
                     scheduler_time = self.clock() - sched_start
-                    out = self.execute_queries(
-                        run=run, reasons=reasons, lease_skips=lease_skips
-                    )
+                    out = self.execute_queries(run=run, lease_skips=lease_skips)
         except Exception as exc:
             self._poison_tick()
             if flight is not None:
@@ -633,11 +641,8 @@ class Simulator:
         return out
 
     def _apply_leases(
-        self,
-        delta: TickDelta,
-        run: Set[str],
-        reasons: Optional[Dict[str, str]],
-    ):
+        self, delta: TickDelta, run: Dict[str, str], annotate: bool
+    ) -> Optional[Dict[str, str]]:
         """Intersect this tick's delta with the active safe-region leases.
 
         Runs between the scheduler's footprint matching and the dispatch
@@ -651,6 +656,12 @@ class Simulator:
         to-run set under ``lease-broken`` — forced, because after
         lease-held skips of footprint-touching ticks the registered
         footprint is stale and cannot justify a disjointness skip.
+
+        ``run`` is the scheduler's ``{name: reason}`` map, edited in
+        place; ``annotate`` (the ledger is recording) also relabels the
+        lease-capable queries evaluated without a lease as
+        ``lease-none``.  Returns the lease skips (``None`` when there are
+        none).
         """
         scheduler = self.scheduler
         registry = self.registry
@@ -673,7 +684,7 @@ class Simulator:
                     # this query; the lease only absorbed the budget.
                     continue
                 if state.holds(query.position.current()):
-                    run.discard(name)
+                    run.pop(name, None)
                     lease_skips[name] = REASON_LEASE_HELD
                     if affected or footprint_void:
                         # This skip consumed a tick that touched (or
@@ -686,10 +697,8 @@ class Simulator:
                     if registry is not None:
                         registry.counter("lease_held_total", query=name).inc()
                 else:
-                    run.add(name)
+                    run[name] = REASON_LEASE_BROKEN
                     broken.append(name)
-                    if reasons is not None:
-                        reasons[name] = REASON_LEASE_BROKEN
                     self.leases_broken += 1
                     if registry is not None:
                         registry.counter(
@@ -697,7 +706,7 @@ class Simulator:
                         ).inc()
             for name in broken:
                 scheduler.drop_lease(name)
-        if reasons is not None:
+        if annotate:
             # Lease-capable queries evaluated with no lease to consult
             # get the explicit lease-none code: in lease mode, the
             # absence of a certificate *is* why the evaluation cost was
@@ -708,18 +717,18 @@ class Simulator:
                     or name in self._paused
                     or not getattr(query, "lease_enabled", False)
                     or not self._started.get(name, False)
-                    or reasons.get(name) == REASON_LEASE_BROKEN
+                    or run.get(name) == REASON_LEASE_BROKEN
                 ):
                     continue
                 if name in run or scheduler.footprint(name) is None:
-                    reasons[name] = REASON_LEASE_NONE
+                    run[name] = REASON_LEASE_NONE
         if registry is not None:
             decided = self.leases_held + self.leases_broken
             if decided:
                 registry.gauge("lease_hold_ratio").set(
                     self.leases_held / decided
                 )
-        return run, reasons, (lease_skips or None)
+        return lease_skips or None
 
     def active_lease(self, name: str) -> Optional[LeaseState]:
         """The live lease bookkeeping for a query, if any."""
@@ -735,19 +744,18 @@ class Simulator:
 
     def execute_queries(
         self,
-        run: Optional[Set[str]] = None,
-        reasons: Optional[Dict[str, str]] = None,
+        run: Optional[Dict[str, str]] = None,
         lease_skips: Optional[Dict[str, str]] = None,
     ) -> Dict[str, TickMetrics]:
         """Execute every non-paused query at the current time, measured.
 
-        ``run`` is the scheduler's affected-set for this tick: queries
-        outside it that have already started *and* hold a registered
-        footprint carry their previous answer forward without executing.
-        ``None`` (scheduler off, or the initial step) evaluates everyone.
-        ``reasons`` optionally annotates each ``run`` member with *why*
-        it matched (:meth:`TickScheduler.affected_reasons`) — forwarded
-        into the cost ledger when it is recording.  ``lease_skips`` maps
+        ``run`` is this tick's ``{name: reason}`` map from
+        :meth:`TickScheduler.affected` (possibly edited by the lease
+        check): queries outside it that have already started *and* hold
+        a registered footprint carry their previous answer forward
+        without executing, and each member's reason is forwarded into
+        the cost ledger when it is recording.  ``None`` (scheduler off,
+        or the initial step) evaluates everyone.  ``lease_skips`` maps
         queries whose safe-region lease held this tick to their skip
         reason code: they take the skip path even without a usable
         footprint (the lease itself is the skip-safety evidence).
@@ -801,15 +809,21 @@ class Simulator:
             }
             evaluated = batch.order(evaluated, footprints)
 
+        no_effect = (
+            scheduler.no_effect
+            if scheduler is not None and run is not None
+            else ()
+        )
         for name in skipped:
             query = self._queries[name]
             last = self._last_metrics.get(name)
             answer = query.skip_tick()
-            skip_reason = (
-                lease_skips.get(name, REASON_DELTA_DISJOINT)
-                if lease_skips is not None
-                else REASON_DELTA_DISJOINT
-            )
+            if lease_skips is not None and name in lease_skips:
+                skip_reason = lease_skips[name]
+            elif name in no_effect:
+                skip_reason = REASON_NO_EFFECT
+            else:
+                skip_reason = REASON_DELTA_DISJOINT
             metrics = TickMetrics(
                 tick=self.current_tick,
                 wall_time=0.0,
@@ -862,12 +876,12 @@ class Simulator:
                     reason = REASON_INITIAL
                 elif name in self._force_eval:
                     reason = REASON_RESUME_FORCED
-                elif reasons is not None and name in reasons:
+                elif run is not None and name in run:
                     # Scheduler/lease annotations win: for footprinted
-                    # queries this is the affected_reasons entry, in
-                    # lease mode possibly a lease-broken / lease-none
+                    # queries this is the affected() entry, in lease
+                    # mode possibly a lease-broken / lease-none
                     # override.
-                    reason = reasons[name]
+                    reason = run[name]
                 elif scheduler is None:
                     reason = REASON_SCHEDULER_OFF
                 elif scheduler.footprint(name) is None:
@@ -888,8 +902,14 @@ class Simulator:
                 fallbacks_before = predicates.STATS.exact_fallbacks
                 store_before = STORE_STATS.rows_scanned
             ops_before = query.search.stats.snapshot()
+            started = self._started[name]
+            before = (
+                (self._last_metrics.get(name), getattr(query, "last_report", None))
+                if started
+                else None
+            )
             start = self.clock()
-            if not self._started[name]:
+            if not started:
                 answer = query.initial()
                 self._started[name] = True
             else:
@@ -905,10 +925,19 @@ class Simulator:
                 ops=diff_ops(ops_before, ops_after),
                 reason=cost.reason if cost is not None else "",
             )
+            unchanged = before is not None and _unchanged(
+                before, metrics, getattr(query, "last_report", None)
+            )
             out[name] = metrics
             self._last_metrics[name] = metrics
             self._force_eval.discard(name)
             self.queries_evaluated += 1
+            if unchanged:
+                self.queries_evaluated_unchanged += 1
+                if registry is not None:
+                    registry.counter(
+                        "queries_evaluated_unchanged_total", query=name
+                    ).inc()
             if cost is not None:
                 query.bind_cost_recorder(None)
                 cost.absorb_ops(metrics.ops)
@@ -921,6 +950,7 @@ class Simulator:
                 cost.store_rows = STORE_STATS.rows_scanned - store_before
                 cost.answer_size = len(answer)
                 cost.monitored = metrics.monitored
+                cost.outcome = OUTCOME_UNCHANGED if unchanged else OUTCOME_CHANGED
             if scheduler is not None:
                 # Footprint re-registration is part of the price of having
                 # evaluated this query; attributing it keeps per-query

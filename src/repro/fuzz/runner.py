@@ -15,7 +15,10 @@ it checks five layers:
    positions (Theorems 1-4, operationally);
 2. **scheduler** — each executor's answer with the scheduler on must be
    bit-identical to its answer with the scheduler off (the skip decision
-   is conservative), and the paired grids must hold identical positions;
+   is conservative), the paired grids must hold identical positions, and
+   every ``no-effect`` skip must be a state no-op: re-running the skipped
+   step on a copy of its state reproduces answer, monitored set and
+   region;
 3. **batch** — each executor's answer with the shared-execution batch
    layer on must be bit-identical to the fully cold scheduler-off
    answer, and each IGERN executor's *monitored set* must be
@@ -47,6 +50,7 @@ or a scenario count, publishing ``fuzz_scenarios_total`` and
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -63,6 +67,7 @@ from repro.fuzz.scenario import (
 )
 from repro.geometry.rectangle import Rect
 from repro.metric import NetworkMetric
+from repro.obs.ledger import REASON_NO_EFFECT
 from repro.obs.metrics import active_registry
 from repro.queries import (
     CRNNQuery,
@@ -470,6 +475,7 @@ class _Lockstep:
                     )
                 )
         self._check_lease_contracts(tick, expectations)
+        self._check_no_effect(tick, metrics_on)
         # Memoization soundness, one level below answers: sim_on and
         # sim_batch make identical scheduling decisions, so their IGERN
         # monitored sets must match exactly.  (sim_off is not comparable
@@ -524,6 +530,37 @@ class _Lockstep:
                                 detail=violation,
                             )
                         )
+
+    def _check_no_effect(self, tick: int, metrics_on: Dict) -> None:
+        """A ``no-effect`` skip must be a state no-op: re-running the
+        skipped query's incremental step on a copy of its state, at the
+        current positions, has to reproduce its carried answer, monitored
+        set and alive region exactly.  This tests the scheduler's exact
+        per-mover prediction directly, including changes of monitored
+        state that leave the answer intact."""
+        for name in ["igern", *self.extra_names]:
+            row = metrics_on.get(name)
+            if row is None or not row.skipped or row.reason != REASON_NO_EFFECT:
+                continue
+            query = self.sim_on.query(name)
+            state = query._state
+            replay = copy.deepcopy(state)
+            query._algo.incremental(replay, query.position.current())
+            before = (state.answer, self._monitored(self.sim_on, name))
+            after = (replay.answer, self._monitored_of(replay))
+            region = set(state.alive.alive_cells())
+            if before != after or set(replay.alive.alive_cells()) != region:
+                self.divergences.append(
+                    Divergence(
+                        kind="scheduler",
+                        tick=tick,
+                        name=name,
+                        expected=sorted(before[1], key=repr),
+                        actual=sorted(after[1], key=repr),
+                        detail="no-effect skip: re-evaluation changes"
+                        " the answer or monitored state",
+                    )
+                )
 
     def _check_lease_contracts(self, tick: int, expectations: Dict[str, set]) -> None:
         """Validate every issued lease's *stated contract* against the
@@ -672,6 +709,9 @@ class _Lockstep:
         state = sim.query(name)._state
         if state is None:
             return set()
+        return self._monitored_of(state)
+
+    def _monitored_of(self, state) -> set:
         if self.scenario.mode == "mono":
             return set(state.candidates)
         return set(state.nn_a)

@@ -43,7 +43,10 @@ from repro.motion.uniform import RandomWalkGenerator, UniformJumpGenerator
 #: adversarial one: positions snap to a coarse lattice, manufacturing the
 #: exact-tie configurations (equidistant witnesses, coincident objects)
 #: where strict-vs-non-strict comparisons and bisector degeneracies live.
-MOTIONS = ("walk", "jump", "clusters", "roadnet", "churn", "lattice")
+#: ``sparse`` is the mostly-static one: a few objects jitter per tick, so
+#: most queries keep settled footprints and the scheduler's exact
+#: per-mover skip test decides most ticks.
+MOTIONS = ("walk", "jump", "clusters", "roadnet", "churn", "lattice", "sparse")
 
 #: Extents sampled beyond the default unit square: scaled, negative, and
 #: non-square data spaces shake out absolute-coordinate assumptions.
@@ -197,6 +200,61 @@ class LatticeJumpGenerator:
         return updates
 
 
+class SparseJitterGenerator:
+    """A mostly-static population: each tick ``movers`` random objects
+    take one small gaussian step (clamped into the extent), everyone else
+    stays put — the fleet regime in which most footprint hits come from
+    objects that cannot change the answer."""
+
+    def __init__(
+        self,
+        n_objects: int,
+        seed: int = 0,
+        movers: int = 1,
+        step_sigma: float = 0.01,
+        extent: Optional[Rect] = None,
+        categories: Optional[Dict[Hashable, float]] = None,
+    ):
+        if n_objects < 1:
+            raise ValueError(f"n_objects must be positive, got {n_objects}")
+        self.extent = extent if extent is not None else Rect.unit()
+        self.movers = min(max(1, movers), n_objects)
+        self.step_sigma = step_sigma
+        self._rng = random.Random(seed)
+        weights = categories if categories else {0: 1.0}
+        labels = list(weights)
+        probs = [weights[label] for label in labels]
+        e = self.extent
+        self._positions: Dict[Hashable, Point] = {}
+        self._categories: Dict[Hashable, Hashable] = {}
+        for i in range(n_objects):
+            self._positions[i] = Point(
+                self._rng.uniform(e.xmin, e.xmax), self._rng.uniform(e.ymin, e.ymax)
+            )
+            self._categories[i] = self._rng.choices(labels, weights=probs)[0]
+
+    def initial(self) -> List[Tuple[Hashable, Point, Hashable]]:
+        return [
+            (oid, pos, self._categories[oid])
+            for oid, pos in self._positions.items()
+        ]
+
+    def step(self, dt: float = 1.0) -> List[Tuple[Hashable, Point]]:
+        e = self.extent
+        rng = self._rng
+        sigma = self.step_sigma * dt
+        updates: List[Tuple[Hashable, Point]] = []
+        for oid in rng.sample(sorted(self._positions), self.movers):
+            pos = self._positions[oid]
+            p = Point(
+                min(max(pos.x + rng.gauss(0.0, sigma), e.xmin), e.xmax),
+                min(max(pos.y + rng.gauss(0.0, sigma), e.ymin), e.ymax),
+            )
+            self._positions[oid] = p
+            updates.append((oid, p))
+        return updates
+
+
 class NodeJumpGenerator:
     """Objects teleporting between road-network *nodes*.
 
@@ -343,6 +401,16 @@ def build_motion(scenario: Scenario):
     if scenario.motion == "lattice":
         return LatticeJumpGenerator(
             n, seed=seed, lattice=8, extent=extent, categories=categories
+        )
+    if scenario.motion == "sparse":
+        span = min(extent.width, extent.height)
+        return SparseJitterGenerator(
+            n,
+            seed=seed,
+            movers=round(n * scenario.move_fraction / 10),
+            step_sigma=0.03 * span,
+            extent=extent,
+            categories=categories,
         )
     if scenario.motion == "roadnet":
         net = scenario_network(scenario)

@@ -22,10 +22,15 @@ Two cell sets are tracked, at different granularities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 CellKey = Tuple[int, int]
 ObjectId = Hashable
+
+#: One change's endpoints: ``(oid, p0, key0, p1, key1)``, the pre-tick
+#: and post-tick position and cell.  An insert has ``p0 = key0 = None``,
+#: a remove ``p1 = key1 = None``; positions are ``(x, y)`` pairs.
+Endpoints = Tuple[ObjectId, Optional[tuple], Optional[CellKey], Optional[tuple], Optional[CellKey]]
 
 
 @dataclass
@@ -65,6 +70,16 @@ class TickDelta:
     _pool: List[Set[ObjectId]] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: Endpoints of every recorded change (see :data:`Endpoints`).
+    _endpoints: List[Endpoints] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: Bulk-move arrays not yet turned into endpoints (:meth:`defer_bulk`).
+    _bulk: Optional[tuple] = field(default=None, repr=False, compare=False)
+    #: Cell -> endpoints with either end in that cell, built on first use.
+    _by_cell: Optional[Dict[CellKey, List[Endpoints]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def changed_ids(self) -> Set[ObjectId]:
         """Every object id involved in any change this tick."""
@@ -89,6 +104,51 @@ class TickDelta:
         self.dirty_cells.clear()
         self.touched_cells.clear()
         self.displacements.clear()
+        self._endpoints.clear()
+        self._bulk = None
+        self._by_cell = None
+
+    # -- per-mover endpoints (read by the tick scheduler) ---------------
+
+    def movers_in(self, key: CellKey) -> Optional[List[Endpoints]]:
+        """Endpoints of every change with its old or new position in cell
+        ``key``.
+
+        ``None`` when no endpoints were recorded for the cell (a delta
+        assembled by hand from bare id and cell sets): the caller must
+        then assume any change.  The per-cell view is built on the first
+        call of a tick, so ticks that never ask pay nothing for it.
+        """
+        by_cell = self._by_cell
+        if by_cell is None:
+            by_cell = self._by_cell = {}
+            endpoints = self._endpoints
+            if self._bulk is not None:
+                oids, ox, oy, ocx, ocy, nx, ny, ncx, ncy = self._bulk
+                self._bulk = None
+                endpoints.extend(
+                    zip(
+                        oids,
+                        zip(ox.tolist(), oy.tolist()),
+                        zip(ocx.tolist(), ocy.tolist()),
+                        zip(nx.tolist(), ny.tolist()),
+                        zip(ncx.tolist(), ncy.tolist()),
+                    )
+                )
+            for entry in endpoints:
+                key0 = entry[2]
+                key1 = entry[4]
+                if key0 is not None:
+                    by_cell.setdefault(key0, []).append(entry)
+                if key1 is not None and key1 != key0:
+                    by_cell.setdefault(key1, []).append(entry)
+        return by_cell.get(key)
+
+    def defer_bulk(self, oids, ox, oy, ocx, ocy, nx, ny, ncx, ncy) -> None:
+        """Keep a vectorized move batch's endpoint arrays (old and new
+        coordinates and cell indices, aligned with ``oids``) for
+        :meth:`movers_in` to unpack on demand."""
+        self._bulk = (oids, ox, oy, ocx, ocy, nx, ny, ncx, ncy)
 
     # -- construction helpers (used by GridIndex.apply_updates) ---------
 
@@ -111,9 +171,17 @@ class TickDelta:
         s.add(oid)
 
     def record_move(
-        self, oid: ObjectId, old_key: CellKey, new_key: CellKey
+        self,
+        oid: ObjectId,
+        old_key: CellKey,
+        new_key: CellKey,
+        old_pos: Optional[tuple] = None,
+        new_pos: Optional[tuple] = None,
     ) -> None:
-        """Record one position change (``old_key`` may equal ``new_key``)."""
+        """Record one position change (``old_key`` may equal ``new_key``),
+        with its endpoints when both positions are given."""
+        if old_pos is not None and new_pos is not None:
+            self._endpoints.append((oid, old_pos, old_key, new_pos, new_key))
         self.moved.add(oid)
         self.touched_cells.add(new_key)
         if new_key == old_key:
@@ -124,13 +192,21 @@ class TickDelta:
         self.leave(old_key, oid)
         self.enter(new_key, oid)
 
-    def record_insert(self, oid: ObjectId, key: CellKey) -> None:
+    def record_insert(
+        self, oid: ObjectId, key: CellKey, pos: Optional[tuple] = None
+    ) -> None:
+        if pos is not None:
+            self._endpoints.append((oid, None, None, pos, key))
         self.inserted.add(oid)
         self.dirty_cells.add(key)
         self.touched_cells.add(key)
         self.enter(key, oid)
 
-    def record_remove(self, oid: ObjectId, key: CellKey) -> None:
+    def record_remove(
+        self, oid: ObjectId, key: CellKey, pos: Optional[tuple] = None
+    ) -> None:
+        if pos is not None:
+            self._endpoints.append((oid, pos, key, None, None))
         self.removed.add(oid)
         self.dirty_cells.add(key)
         self.touched_cells.add(key)

@@ -60,6 +60,13 @@ class GridIndex:
         self._ymin = self.extent.ymin
         self._inv_w = size / self.extent.width
         self._inv_h = size / self.extent.height
+        # Cell sizes as cell_key_of computes them: the multiplied index
+        # is nudged onto the cell whose edges (xmin + ix * cw) bracket
+        # the coordinate, so every path agrees with cell_key_of exactly
+        # on cell boundaries (0.6 * 5 truncates to 3, but 0.6 lies in
+        # cell 2, whose upper edge 3 * 0.2 rounds above it).
+        self._cw = self.extent.width / size
+        self._ch = self.extent.height / size
         self._store = ColumnarStore()
         # Stable ``oid -> Point`` view over the store's columns: the
         # shared tick context and ad-hoc lookups read through it.
@@ -97,20 +104,15 @@ class GridIndex:
         self.mutations += 1
         return pos
 
-    def move(self, oid: ObjectId, pos: Iterable[float]) -> bool:
-        """Update an object's position.
-
-        Returns ``True`` when the move crossed a cell boundary (a *cell
-        change*, the grid-maintenance event Figure 5a counts).
-
-        This is the single hottest scalar call of a simulation, so the
-        cell computation is inlined.
-        """
-        x, y = pos
-        p = Point(x, y)
+    def _key_of(self, x: float, y: float) -> CellKey:
+        """:func:`cell_key_of` over the cached scale factors — the scalar
+        move paths' cell rule (``ColumnarStore.bulk_move`` is its
+        vectorized twin)."""
         n = self.size
-        ix = int((x - self._xmin) * self._inv_w)
-        iy = int((y - self._ymin) * self._inv_h)
+        xmin = self._xmin
+        ymin = self._ymin
+        ix = int((x - xmin) * self._inv_w)
+        iy = int((y - ymin) * self._inv_h)
         if ix < 0:
             ix = 0
         elif ix >= n:
@@ -119,9 +121,30 @@ class GridIndex:
             iy = 0
         elif iy >= n:
             iy = n - 1
+        cw = self._cw
+        if ix > 0 and xmin + ix * cw > x:
+            ix -= 1
+        elif ix < n - 1 and xmin + (ix + 1) * cw <= x:
+            ix += 1
+        ch = self._ch
+        if iy > 0 and ymin + iy * ch > y:
+            iy -= 1
+        elif iy < n - 1 and ymin + (iy + 1) * ch <= y:
+            iy += 1
+        return (ix, iy)
+
+    def move(self, oid: ObjectId, pos: Iterable[float]) -> bool:
+        """Update an object's position.
+
+        Returns ``True`` when the move crossed a cell boundary (a *cell
+        change*, the grid-maintenance event Figure 5a counts).
+
+        This is the single hottest scalar call of a simulation.
+        """
+        x, y = pos
         self.updates += 1
         self.mutations += 1
-        old_key = self._store.move(oid, p, (ix, iy))
+        old_key = self._store.move(oid, Point(x, y), self._key_of(x, y))
         if old_key is None:
             return False
         self.cell_changes += 1
@@ -149,8 +172,8 @@ class GridIndex:
         :meth:`insert` / :meth:`remove` calls; on top of them the returned
         :class:`TickDelta` records which objects moved, which cells got
         dirty (membership changes) or touched (any movement), and the
-        per-cell enter/leave sets — the raw material for the engine's
-        skip decisions.
+        per-cell enter/leave sets plus every change's old and new
+        position — the raw material for the engine's skip decisions.
 
         A move that restates an object's current position is applied (and
         counted as an update, like :meth:`move`) but reported as *no*
@@ -173,12 +196,12 @@ class GridIndex:
         store = self._store
 
         for oid in removes:
-            _pos, key, _category = store.remove(oid)
+            pos, key, _category = store.remove(oid)
             self.mutations += 1
-            delta.record_remove(oid, key)
+            delta.record_remove(oid, key, pos)
         for oid, pos, category in inserts:
             self.insert(oid, pos, category)
-            delta.record_insert(oid, store.cell_of(oid))
+            delta.record_insert(oid, store.cell_of(oid), store.position(oid))
 
         if not isinstance(moves, (list, tuple)):
             moves = list(moves)
@@ -191,11 +214,8 @@ class GridIndex:
         moved = delta.moved
         touched = delta.touched_cells
         dirty = delta.dirty_cells
-        n = self.size
-        xmin = self._xmin
-        ymin = self._ymin
-        inv_w = self._inv_w
-        inv_h = self._inv_h
+        endpoints = delta._endpoints
+        key_of = self._key_of
         store_move = store.move
         # The no-op check reads the raw columns — store.position() would
         # materialize a Point per mover.
@@ -205,25 +225,19 @@ class GridIndex:
         for oid, pos in moves:
             x, y = pos
             row = row_of[oid]
-            if col_xs[row] == x and col_ys[row] == y:
+            x0 = col_xs[row]
+            y0 = col_ys[row]
+            if x0 == x and y0 == y:
                 continue
             p = pos if type(pos) is Point else Point(x, y)
-            ix = int((x - xmin) * inv_w)
-            iy = int((y - ymin) * inv_h)
-            if ix < 0:
-                ix = 0
-            elif ix >= n:
-                ix = n - 1
-            if iy < 0:
-                iy = 0
-            elif iy >= n:
-                iy = n - 1
-            new_key = (ix, iy)
+            new_key = key_of(x, y)
             old_key = store_move(oid, p, new_key)
             moved.add(oid)
             touched.add(new_key)
             if old_key is None:
+                endpoints.append((oid, (x0, y0), new_key, p, new_key))
                 continue
+            endpoints.append((oid, (x0, y0), old_key, p, new_key))
             self.cell_changes += 1
             touched.add(old_key)
             dirty.add(old_key)
@@ -247,11 +261,21 @@ class GridIndex:
             coords[i, 0] = pos[0]
             coords[i, 1] = pos[1]
         result = self._store.bulk_move(
-            oids, coords, self._xmin, self._ymin, self._inv_w, self._inv_h, self.size
+            oids,
+            coords,
+            self._xmin,
+            self._ymin,
+            self._inv_w,
+            self._inv_h,
+            self._cw,
+            self._ch,
+            self.size,
         )
         if result is None:
             return False
-        changed_oids, touched_keys, crossers = result
+        changed_oids, touched_keys, crossers, endpoints = result
+        if endpoints is not None:
+            delta.defer_bulk(changed_oids, *endpoints)
         delta.moved.update(changed_oids)
         delta.touched_cells.update(touched_keys)
         if crossers:

@@ -301,13 +301,16 @@ class ColumnarStore:
         self.ciy[row] = new_key[1]
         return old_key
 
-    def bulk_move(self, oids, coords, xmin, ymin, inv_w, inv_h, size):
+    def bulk_move(self, oids, coords, xmin, ymin, inv_w, inv_h, cw, ch, size):
         """Apply one tick's move batch through vectorized column math.
 
         ``coords`` is an ``(n, 2)`` float64 array of target positions.
-        Returns ``(changed_oids, touched_keys, crossers)`` where
-        ``crossers`` lists ``(oid, old_key, new_key)`` boundary
-        crossings, or ``None`` when the batch needs the scalar path
+        Returns ``(changed_oids, touched_keys, crossers, endpoints)``
+        where ``crossers`` lists ``(oid, old_key, new_key)`` boundary
+        crossings and ``endpoints`` holds the changed rows' old x, old y,
+        old cell x, old cell y, new x, new y, new cell x and new cell y
+        arrays, aligned with ``changed_oids`` (``None`` when nothing
+        changed); or ``None`` when the batch needs the scalar path
         (duplicate movers — their sequential last-wins semantics do not
         vectorize).  Raises ``KeyError`` on an unknown id, exactly like
         the scalar path."""
@@ -318,20 +321,28 @@ class ColumnarStore:
             return None
         nx = coords[:, 0]
         ny = coords[:, 1]
-        changed = (nx != self.xs_np[rows]) | (ny != self.ys_np[rows])
+        ox = self.xs_np[rows]
+        oy = self.ys_np[rows]
+        changed = (nx != ox) | (ny != oy)
         idx = np.nonzero(changed)[0]
         if not idx.size:
-            return [], (), []
+            return [], (), [], None
         crows = rows[idx]
         cx = nx[idx]
         cy = ny[idx]
         # Bit-identical to the scalar move formula: truncate-toward-zero
-        # (int()/astype agree), then clamp into the grid.
+        # (int()/astype agree), clamp into the grid, then nudge onto the
+        # cell whose multiplied edges bracket the coordinate.
         ix = ((cx - xmin) * inv_w).astype(np.int64)
         iy = ((cy - ymin) * inv_h).astype(np.int64)
         np.clip(ix, 0, size - 1, out=ix)
         np.clip(iy, 0, size - 1, out=iy)
-        crossed = (ix != self.cix_np[crows]) | (iy != self.ciy_np[crows])
+        for cell, lo, step, c in ((ix, xmin, cw, cx), (iy, ymin, ch, cy)):
+            cell -= (cell > 0) & (lo + cell * step > c)
+            cell += (cell < size - 1) & (lo + (cell + 1) * step <= c)
+        ocx = self.cix_np[crows]
+        ocy = self.ciy_np[crows]
+        crossed = (ix != ocx) | (iy != ocy)
         self.xs_np[crows] = cx
         self.ys_np[crows] = cy
         crossers = []
@@ -352,7 +363,8 @@ class ColumnarStore:
                 crossers.append((oid, old_key, new_key))
         changed_oids = [oids[i] for i in idx.tolist()]
         touched = set(zip(ix.tolist(), iy.tolist()))
-        return changed_oids, touched, crossers
+        endpoints = (ox[idx], oy[idx], ocx, ocy, cx, cy, ix, iy)
+        return changed_oids, touched, crossers, endpoints
 
     # -- compaction ----------------------------------------------------
 

@@ -14,21 +14,34 @@ Decision reasons (the complete vocabulary, also in
 ========================  ============================================
 ``delta-disjoint``        skipped: the tick's grid delta touched neither
                           the query's footprint cells nor its objects
+``no-effect``             skipped: the delta touched the footprint cells
+                          of a settled query, but no mover left or entered
+                          an alive cell or crossed a witness ball in a
+                          direction that can change its state
 ``initial``               evaluated: the query's very first execution
 ``resume-forced``         evaluated: first tick after ``resume_query``
                           (footprint evidence is stale by construction)
 ``footprint-enter``       evaluated: an object moved within / entered /
-                          left one of the query's footprint cells
+                          left one of the query's footprint cells (for a
+                          settled footprint: one that passed the exact
+                          per-mover test)
 ``object-moved``          evaluated: a monitored object (or the query
                           object itself) moved, entered, or left
-``footprint-hit``         evaluated: footprint matched the delta but the
-                          cheap matcher ran (ledger was enabled mid-run),
-                          so cell/object attribution is unavailable
+``footprint-hit``         evaluated: the query was in a run set given to
+                          ``execute_queries`` without a reason map, so
+                          cell/object attribution is unavailable
 ``no-footprint``          evaluated: the query registers no bounded
                           footprint (snapshot baseline, unbounded region)
 ``scheduler-off``         evaluated: the simulator runs without a tick
                           scheduler — everything evaluates every tick
 ========================  ============================================
+
+Every evaluated row also records its *outcome*: ``changed`` when the
+answer or the monitored set differs from the query's previous one (an
+initial evaluation always counts as changed), ``evaluated_unchanged``
+when both came out identical — the evaluation bought nothing.  The
+engine counts the latter as ``queries_evaluated_unchanged_total`` even
+with the ledger off.
 
 The ledger is **off by default**.  Its disabled footprint inside the
 engine is one ``is None``/``enabled`` check per tick plus a handful of
@@ -45,7 +58,7 @@ import io
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs.trace import NULL_SPAN
 
@@ -53,8 +66,13 @@ from repro.obs.trace import NULL_SPAN
 EVALUATED = "evaluated"
 SKIPPED = "skipped"
 
+#: Outcomes of an evaluated row.
+OUTCOME_CHANGED = "changed"
+OUTCOME_UNCHANGED = "evaluated_unchanged"
+
 #: Reason codes (see the module docstring for semantics).
 REASON_DELTA_DISJOINT = "delta-disjoint"
+REASON_NO_EFFECT = "no-effect"
 REASON_INITIAL = "initial"
 REASON_RESUME_FORCED = "resume-forced"
 REASON_FOOTPRINT_ENTER = "footprint-enter"
@@ -101,6 +119,9 @@ class QueryTickCost:
     store_rows: int = 0
     answer_size: int = 0
     monitored: int = 0
+    #: ``OUTCOME_CHANGED`` / ``OUTCOME_UNCHANGED`` for evaluated rows,
+    #: empty for skipped ones.
+    outcome: str = ""
 
     def absorb_ops(self, ops: Dict[str, int]) -> None:
         """Fold a ``diff_ops``-style search-counter delta into this cost."""
@@ -391,17 +412,29 @@ class QueryCostLedger:
                 f"  answer: {cost.answer_size} object(s),"
                 f" monitored {cost.monitored}\n"
             )
+            if cost.outcome:
+                note = (
+                    " (answer and monitored set identical to the previous"
+                    " tick)"
+                    if cost.outcome == OUTCOME_UNCHANGED
+                    else ""
+                )
+                out.write(f"  outcome: {cost.outcome}{note}\n")
         else:
             out.write(
                 f" — previous answer carried forward"
                 f" ({cost.answer_size} object(s))\n"
             )
-        n_eval = len(record.evaluated())
+        evaluated = record.evaluated()
+        n_eval = len(evaluated)
         n_skip = len(record.skipped())
+        n_same = sum(1 for c in evaluated if c.outcome == OUTCOME_UNCHANGED)
         out.write(
             f"tick totals: {len(record.costs)} queries"
             f" ({n_eval} evaluated, {n_skip} skipped)"
         )
+        if n_same:
+            out.write(f", {n_same} evaluated unchanged")
         if record.total_time is not None:
             out.write(
                 f", tick wall {_us(record.total_time)},"

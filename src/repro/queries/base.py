@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Optional, Union
+from typing import FrozenSet, Hashable, Optional, Tuple, Union
 
 from repro.geometry.point import Point
 from repro.grid.cell import CellKey
@@ -22,7 +22,7 @@ from repro.grid.search import GridSearch
 
 @dataclass(frozen=True)
 class QueryFootprint:
-    """A query's relevance footprint: what this tick's answer depends on.
+    """A query's relevance footprint: what its next evaluation depends on.
 
     The contract (see ``docs/PERFORMANCE.md``): between two executions a
     query's answer can only change if at least one of these happened —
@@ -38,10 +38,40 @@ class QueryFootprint:
     identity.  Executors that cannot bound their dependencies (snapshot
     baselines recomputing from the whole population) return ``None`` from
     :meth:`ContinuousQuery.footprint` and are re-evaluated every tick.
+
+    A *settled* footprint also carries the evidence for an exact
+    per-mover test.  It is settled when the evaluation that produced it
+    was incremental and absorbed and pruned nothing: re-running that step
+    on unchanged positions is then a no-op, so only a mover can change
+    the query's state.  A mover with pre-tick position ``p0`` and
+    post-tick position ``p1`` (``None`` for an insert / a remove) can
+    only do so when
+
+    - its old or new cell is in ``alive`` (the cells the tightening scan
+      reads), or
+    - it enters (strictly, ``p1`` inside and ``p0`` not) the witness ball
+      ``B(c, d(c, qpos))`` of a centre ``c`` in ``enter_balls``, or
+      leaves the ball of a centre in ``leave_balls``.
+
+    An unsettled footprint (``alive is None``) only supports the
+    cell-level test.
     """
 
     cells: FrozenSet[CellKey]
     objects: FrozenSet[ObjectId]
+    #: The alive-region cells; ``None`` marks an unsettled footprint.
+    alive: Optional[FrozenSet[CellKey]] = None
+    #: The query position the witness balls are measured against.
+    qpos: Optional[Point] = None
+    #: Ball centres whose ball a mover must not enter unnoticed.
+    enter_balls: Tuple[Point, ...] = ()
+    #: Ball centres whose ball a mover must not leave unnoticed.
+    leave_balls: Tuple[Point, ...] = ()
+
+    @property
+    def settled(self) -> bool:
+        """Whether the exact per-mover evidence is present."""
+        return self.alive is not None
 
 
 class QueryPosition:

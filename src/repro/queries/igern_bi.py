@@ -66,6 +66,9 @@ class IGERNBiQuery(ContinuousQuery):
             )
         self._state = None
         self.last_report: Optional[StepReport] = None
+        #: Whether the last *evaluation* was settled (carried reports of
+        #: skipped ticks do not count).
+        self._settled = False
 
     @property
     def k(self) -> int:
@@ -94,6 +97,7 @@ class IGERNBiQuery(ContinuousQuery):
                 self.position.query_id,
             )
         self.last_report = report
+        self._settled = False
         self._answer = report.answer
         return report.answer
 
@@ -112,6 +116,7 @@ class IGERNBiQuery(ContinuousQuery):
                 self.position.query_id,
             )
         self.last_report = report
+        self._settled = report.settled
         self._answer = report.answer
         return report.answer
 
@@ -119,19 +124,42 @@ class IGERNBiQuery(ContinuousQuery):
         """Monitored cells (alive region + per-B witness balls) and the
         monitored A objects (plus the query object itself).  Network
         metrics have no bounded Euclidean footprint — always ``None``,
-        so the scheduler re-evaluates every tick."""
+        so the scheduler re-evaluates every tick.
+
+        After a settled step the footprint carries the exact-trigger
+        evidence.  Verification only resolves the *point-alive* B objects
+        of the region, so only their balls matter.  Entering one matters
+        whether or not it answers: for an answer the newcomer can be a
+        ``k``-th witness, for a non-answer it can become the nearest A
+        that verification absorbs into ``NN_A``.  Leaving matters only
+        for non-answers (a witness can drop below ``k``).  A B mover is
+        caught by the alive-cell rule, in either direction.
+        """
         if not self.metric.euclidean:
             return None
         state = self._state
         if state is None:
             return None
-        cells = state.footprint_cells(self.grid, self._algo.cat_b)
-        if cells is None:
+        found = state.footprint_cells(self.grid, self._algo.cat_b)
+        if found is None:
             return None
+        cells, region, centres = found
         objects = set(state.nn_a)
         if self.position.query_id is not None:
             objects.add(self.position.query_id)
-        return QueryFootprint(cells=frozenset(cells), objects=frozenset(objects))
+        if not self._settled:
+            return QueryFootprint(cells=frozenset(cells), objects=frozenset(objects))
+        answer = state.answer
+        point_alive = state.alive.point_alive
+        verified = [(ob, pos) for ob, pos in centres if point_alive(pos)]
+        return QueryFootprint(
+            cells=frozenset(cells),
+            objects=frozenset(objects),
+            alive=frozenset(region),
+            qpos=state.qpos,
+            enter_balls=tuple(pos for _, pos in verified),
+            leave_balls=tuple(pos for ob, pos in verified if ob not in answer),
+        )
 
     def skip_tick(self):
         if self.last_report is not None:

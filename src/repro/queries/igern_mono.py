@@ -64,6 +64,9 @@ class IGERNMonoQuery(ContinuousQuery):
             )
         self._state = None
         self.last_report: Optional[StepReport] = None
+        #: Whether the last *evaluation* was settled (carried reports of
+        #: skipped ticks do not count).
+        self._settled = False
 
     @property
     def k(self) -> int:
@@ -89,6 +92,7 @@ class IGERNMonoQuery(ContinuousQuery):
                 self._state, self.grid, self.k, self.position.query_id
             )
         self.last_report = report
+        self._settled = False
         self._answer = report.answer
         return report.answer
 
@@ -102,6 +106,7 @@ class IGERNMonoQuery(ContinuousQuery):
                 self._state, self.grid, self.k, self.position.query_id
             )
         self.last_report = report
+        self._settled = report.settled
         self._answer = report.answer
         return report.answer
 
@@ -115,19 +120,39 @@ class IGERNMonoQuery(ContinuousQuery):
         bounded Euclidean footprint (a far-away object can be
         network-close), so the scheduler honestly re-evaluates every
         tick.
+
+        After a settled step the footprint carries the exact-trigger
+        evidence: verification only flips when a mover enters the ball of
+        an answer candidate (a new witness can reach ``k``) or leaves the
+        ball of a non-answer candidate (a witness can drop below ``k``).
         """
         if not self.metric.euclidean:
             return None
         state = self._state
         if state is None:
             return None
-        cells = state.footprint_cells(self.grid)
-        if cells is None:
+        found = state.footprint_cells(self.grid)
+        if found is None:
             return None
+        cells, region = found
         objects = set(state.candidates)
         if self.position.query_id is not None:
             objects.add(self.position.query_id)
-        return QueryFootprint(cells=frozenset(cells), objects=frozenset(objects))
+        if not self._settled:
+            return QueryFootprint(cells=frozenset(cells), objects=frozenset(objects))
+        answer = state.answer
+        enter = []
+        leave = []
+        for oid, pos in state.candidates.items():
+            (enter if oid in answer else leave).append(pos)
+        return QueryFootprint(
+            cells=frozenset(cells),
+            objects=frozenset(objects),
+            alive=frozenset(region),
+            qpos=state.qpos,
+            enter_balls=tuple(enter),
+            leave_balls=tuple(leave),
+        )
 
     def skip_tick(self):
         if self.last_report is not None:

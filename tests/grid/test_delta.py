@@ -233,3 +233,43 @@ class TestCategorySets:
         grid.insert("b", (0.3, 0.4), "B")
         assert grid.positions_snapshot("A") == {"a": (0.1, 0.2)}
         assert set(grid.positions_snapshot()) == {"a", "b"}
+
+
+class TestCellBoundaries:
+    """Every mutation path files an object in the cell ``cell_key_of``
+    computes, also exactly on a cell edge (``0.6`` on a 5-cell axis
+    multiplies to ``3.0000000000000004`` but lies in cell 2, whose upper
+    edge ``3 * 0.2`` rounds above it)."""
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 24])
+    @pytest.mark.parametrize("extent", [None, (-1.0, -1.0, 1.0, 1.0), (2.0, 1.0, 6.0, 3.0)])
+    def test_move_paths_agree_with_cell_key_of(self, n, extent):
+        from repro.geometry.rectangle import Rect
+        from repro.grid.cell import cell_key_of
+
+        rect = Rect(*extent) if extent is not None else Rect.unit()
+        fractions = [i / n for i in range(n + 1)] + [i / 10 for i in range(11)]
+        points = [
+            (rect.xmin + u * rect.width, rect.ymin + v * rect.height)
+            for u in fractions
+            for v in fractions[::3]
+        ]
+        assert len(points) >= 48  # reaches the vectorized bulk path
+        grids = [GridIndex(n, rect) for _ in range(3)]
+        for grid in grids:
+            for i in range(len(points)):
+                grid.insert(i, (rect.xmin, rect.ymin))
+        bulk, scalar, single = grids
+        delta = bulk.apply_updates(list(enumerate(points)))
+        for i, p in enumerate(points):
+            scalar.apply_updates([(i, p)])
+            single.move(i, p)
+        for i, p in enumerate(points):
+            expected = cell_key_of(rect, n, p)
+            assert bulk.cell_of(i) == expected
+            assert scalar.cell_of(i) == expected
+            assert single.cell_of(i) == expected
+        # The delta's endpoints carry the same cells.
+        for key in delta.touched_cells:
+            for _oid, _p0, _key0, p1, key1 in delta.movers_in(key):
+                assert key1 == cell_key_of(rect, n, p1)
