@@ -118,18 +118,6 @@ def _batch_metrics(result: dict) -> Dict[str, float]:
     }
 
 
-def _lease_metrics(result: dict) -> Dict[str, float]:
-    leases = result["leases"]
-    publications = result["publications"]
-    return {
-        "answers_identical": 1.0 if result["answers_identical"] else 0.0,
-        "hold_ratio": float(leases["hold_ratio"]),
-        "publication_skip_rate": float(publications["skip_rate"]),
-        "leases_issued": float(leases["issued"]),
-        "publications_skipped": float(publications["skipped"]),
-    }
-
-
 def _large_n_metrics(result: dict) -> Dict[str, float]:
     sliced = result["sliced"]
     return {
@@ -182,27 +170,6 @@ BENCHMARKS: Dict[str, Benchmark] = {
             MetricCheck("answers_identical", "exact", quick_ok=True),
             MetricCheck("sharing_ratio", "lower", "abs", 0.10, quick_ok=True),
             MetricCheck("probe_hits", "lower", "rel", 0.10),
-        ),
-    ),
-    "lease_hold": Benchmark(
-        name="lease_hold",
-        test_path="benchmarks/test_lease_hold.py",
-        result_file="BENCH_lease_hold.json",
-        quick_env="LEASE_BENCH_QUICK",
-        out_env="LEASE_BENCH_OUT",
-        metrics=_lease_metrics,
-        checks=(
-            # Held leases must serve the exact answer — any divergence
-            # is a soundness bug, not a perf regression.
-            MetricCheck("answers_identical", "exact", quick_ok=True),
-            # Structural rates of a deterministic low-churn workload:
-            # scale-free, tight absolute bands.
-            MetricCheck("hold_ratio", "lower", "abs", 0.10, quick_ok=True),
-            MetricCheck(
-                "publication_skip_rate", "lower", "abs", 0.10, quick_ok=True
-            ),
-            # Deterministic counts: full workload only (quick differs).
-            MetricCheck("publications_skipped", "lower", "rel", 0.05),
         ),
     ),
     "large_n": Benchmark(

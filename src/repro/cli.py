@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--serving",
         action="store_true",
         help="also run every scenario through a 3-shard serving cluster"
-        " and require bit-identical answers and lease decisions",
+        " and require bit-identical answers and skip decisions",
     )
     _add_obs_flags(fuzz_run)
 

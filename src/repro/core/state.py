@@ -70,12 +70,6 @@ class StepReport:
     movement_rebuild: bool = False
     tightened: int = 0
     pruned: int = 0
-    #: Safe-region answer lease derived from this evaluation's final
-    #: state (``repro.leases``), or ``None`` when lease mode is off, the
-    #: metric is non-Euclidean, or no sound lease exists.  Carried
-    #: reports drop it: the engine owns active-lease bookkeeping, the
-    #: report only transports a freshly derived lease out of the step.
-    lease: Optional[object] = None
 
     @property
     def monitored_count(self) -> int:

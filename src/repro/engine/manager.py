@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional
 
 from repro.engine.simulation import Simulator
-from repro.obs.ledger import REASON_LEASE_HELD
 from repro.obs.metrics import active_registry
 from repro.queries.base import ContinuousQuery
 
@@ -135,13 +134,6 @@ class ContinuousQueryManager:
             # A skipped tick carried the previous answer forward verbatim;
             # no set comparison needed once the query has been announced.
             if m.skipped and name in self._announced:
-                if m.reason == REASON_LEASE_HELD and registry is not None:
-                    # A held lease suppressed the whole subscriber
-                    # publication, not just the evaluation — the metric
-                    # the lease_hold benchmark bands on.
-                    registry.counter(
-                        "lease_publications_skipped_total", query=name
-                    ).inc()
                 continue
             previous = self._last_answers.get(name, frozenset())
             # A query's very first result is always announced (even when

@@ -39,7 +39,6 @@ from typing import Dict, Hashable, Optional, Set
 
 from repro.geometry.predicates import closer_than
 from repro.grid.delta import CellKey, TickDelta
-from repro.leases import Lease, LeaseState
 from repro.obs.ledger import REASON_FOOTPRINT_ENTER, REASON_OBJECT_MOVED
 from repro.queries.base import QueryFootprint
 
@@ -55,8 +54,6 @@ class TickScheduler:
         self._always: Set[str] = set()
         self._cell_index: Dict[CellKey, Set[str]] = {}
         self._obj_index: Dict[ObjectId, Set[str]] = {}
-        #: Active safe-region leases by query name (lease mode only).
-        self._leases: Dict[str, LeaseState] = {}
         #: Queries the last :meth:`affected` call skipped although the
         #: delta touched their footprint cells: no mover could change
         #: their state (ledger reason ``no-effect``).
@@ -101,70 +98,9 @@ class TickScheduler:
     def remove_query(self, name: str) -> None:
         """Forget a deregistered query entirely."""
         self._always.discard(name)
-        self._leases.pop(name, None)
         previous = self._footprints.pop(name, None)
         if previous is not None:
             self._unindex(name, previous)
-
-    # ------------------------------------------------------------------
-    # Lease bookkeeping (safe-region answer leases, repro.leases)
-    # ------------------------------------------------------------------
-
-    def update_lease(self, name: str, lease: "Lease | None") -> None:
-        """(Re)register a query's lease after it was evaluated.
-
-        A fresh evaluation replaces the active lease wholesale (budget
-        spend and footprint taint restart at zero); ``None`` drops it.
-        """
-        if lease is None:
-            self._leases.pop(name, None)
-        else:
-            self._leases[name] = LeaseState(lease)
-
-    def drop_lease(self, name: str) -> bool:
-        """Invalidate a query's lease; returns whether one existed."""
-        return self._leases.pop(name, None) is not None
-
-    def lease_state(self, name: str) -> Optional[LeaseState]:
-        """The active lease bookkeeping of a query, if any."""
-        return self._leases.get(name)
-
-    def lease_states(self) -> Dict[str, LeaseState]:
-        """All active leases by query name (live mapping, not a copy)."""
-        return self._leases
-
-    def absorb_displacements(self, delta: TickDelta) -> None:
-        """Charge one tick's motion and churn to every active lease.
-
-        Each lease absorbs the tick's maximum data-point displacement,
-        excluding its own query object — the query's motion is governed
-        by the safe region, not the object budget.  Any insert or
-        remove breaks every lease (the slack minimum quantifies only
-        over the issue-time population).
-        """
-        if not self._leases:
-            return
-        churn = bool(delta.inserted or delta.removed)
-        # Top two displacement magnitudes, so excluding one query object
-        # is O(1) per lease instead of a rescan.
-        top_oid = None
-        top = 0.0
-        second = 0.0
-        if not churn:
-            for oid, d in delta.displacements.items():
-                if d > top:
-                    second = top
-                    top = d
-                    top_oid = oid
-                elif d > second:
-                    second = d
-        for state in self._leases.values():
-            if churn:
-                state.absorb(0.0, True)
-            elif state.lease.query_oid is not None and state.lease.query_oid == top_oid:
-                state.absorb(second, False)
-            else:
-                state.absorb(top, False)
 
     def footprint(self, name: str) -> Optional[QueryFootprint]:
         """The currently registered footprint of a query (``None`` if
@@ -270,15 +206,9 @@ class TickScheduler:
                     out[name] = REASON_OBJECT_MOVED
                 if not fp.cells.isdisjoint(touched):
                     hits[name] = fp.cells & touched
-        leases = self._leases
         for name, keys in hits.items():
             fp = footprints[name]
-            if (
-                name in out
-                or not fp.settled
-                or (name in leases and leases[name].tainted)
-                or _may_change(fp, delta, keys)
-            ):
+            if name in out or not fp.settled or _may_change(fp, delta, keys):
                 out[name] = REASON_FOOTPRINT_ENTER
             else:
                 no_effect.add(name)

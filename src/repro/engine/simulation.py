@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import math
 import time
 from typing import Callable, Dict, Optional
 
@@ -25,7 +24,6 @@ from repro.grid.index import GridIndex
 from repro.grid.store import STATS as STORE_STATS
 from repro.metric import STATS as METRIC_STATS
 from repro.obs.flight import FlightRecorder, TickDigest
-from repro.leases import LeaseState
 from repro.obs.ledger import (
     EVALUATED,
     OUTCOME_CHANGED,
@@ -33,9 +31,6 @@ from repro.obs.ledger import (
     REASON_DELTA_DISJOINT,
     REASON_FOOTPRINT_HIT,
     REASON_INITIAL,
-    REASON_LEASE_BROKEN,
-    REASON_LEASE_HELD,
-    REASON_LEASE_NONE,
     REASON_NO_EFFECT,
     REASON_NO_FOOTPRINT,
     REASON_RESUME_FORCED,
@@ -152,16 +147,6 @@ class Simulator:
         scheduler is on — always-on tick digests plus anomaly-triggered
         replayable incident bundles.  ``False`` disables it; an explicit
         instance allows tuned thresholds or an incident directory.
-    lease:
-        When ``True``, lease-capable queries derive a safe-region answer
-        lease (:mod:`repro.leases`) at every evaluation, and the engine
-        skips their ticks — including footprint-affected ones — while
-        the lease verifiably holds under the tick's displacement
-        accounting.  Answers stay bit-identical (the lease is a sound
-        certificate; the fuzz harness validates it against the brute
-        oracle).  Off by default: lease derivation costs an extra
-        distance pass per evaluation, so the committed benchmark
-        baselines keep their cost profile.  Requires the scheduler.
     """
 
     def __init__(
@@ -176,7 +161,6 @@ class Simulator:
         batch: bool = True,
         ledger: "Optional[QueryCostLedger | bool]" = None,
         flight: "bool | FlightRecorder" = True,
-        lease: bool = False,
     ):
         self.generator = generator
         self.dt = dt
@@ -192,14 +176,6 @@ class Simulator:
         self.scheduler: Optional[TickScheduler] = (
             TickScheduler() if scheduler else None
         )
-        #: Safe-region lease mode (requires the scheduler's delta path).
-        self.lease_mode: bool = bool(lease and scheduler)
-        #: Lifetime lease outcomes (mirrored into the registry as
-        #: ``lease_issued_total`` / ``lease_held_total`` /
-        #: ``lease_broken_total`` plus the ``lease_hold_ratio`` gauge).
-        self.leases_issued = 0
-        self.leases_held = 0
-        self.leases_broken = 0
         self.batch: Optional[BatchExecutor] = (
             BatchExecutor(self.grid) if batch and scheduler else None
         )
@@ -243,8 +219,8 @@ class Simulator:
         self.obs_hook_errors = 0
         self.current_tick = 0
         #: Set to the tick number when an exception escapes mid-
-        #: :meth:`step` (movement possibly applied, scheduler/lease/
-        #: ledger state stale); cleared by the next successfully
+        #: :meth:`step` (movement possibly applied, scheduler/ledger
+        #: state stale); cleared by the next successfully
         #: completed step.  See :meth:`_poison_tick`.
         self.poisoned_tick: Optional[int] = None
         #: Last-seen values of the process-global predicate counters, so
@@ -293,8 +269,6 @@ class Simulator:
             )
         self._queries[name] = query
         self._started[name] = False
-        if self.lease_mode and hasattr(query, "lease_enabled"):
-            query.lease_enabled = True
         logger.debug(
             "registered query %r (%s) at tick %d", name, query.name, self.current_tick
         )
@@ -332,13 +306,6 @@ class Simulator:
         if name not in self._queries:
             raise KeyError(f"no query named {name!r}")
         self._paused.add(name)
-        # Pausing forcibly invalidates any safe-region lease: a paused
-        # query cannot honor its publication contract, and the forced
-        # post-resume evaluation issues a fresh one.
-        if self.scheduler is not None and self.scheduler.drop_lease(name):
-            self.leases_broken += 1
-            if self.registry is not None:
-                self.registry.counter("lease_broken_total", query=name).inc()
         logger.debug("paused query %r at tick %d", name, self.current_tick)
 
     def resume_query(self, name: str) -> None:
@@ -433,13 +400,8 @@ class Simulator:
                 else:
                     sched_start = self.clock()
                     run = self.scheduler.affected(delta)
-                    lease_skips = None
-                    if self.lease_mode:
-                        lease_skips = self._apply_leases(
-                            delta, run, annotate=ledger_on
-                        )
                     scheduler_time = self.clock() - sched_start
-                    out = self.execute_queries(run=run, lease_skips=lease_skips)
+                    out = self.execute_queries(run=run)
         except Exception as exc:
             self._poison_tick()
             if flight is not None:
@@ -508,32 +470,21 @@ class Simulator:
         By the time an evaluation (or the dispatch glue) raises, the
         tick's movement has usually already landed in the grid while
         the queries past the failure point never executed — so their
-        registered footprints, answer leases, and carried answers
+        registered footprints and carried answers
         describe a *pre-movement* world.  Left alone, a later
         footprint-disjoint tick would "safely" skip them and serve a
         stale answer (the half-applied-tick bug).
 
         The step cannot be rolled back cheaply, so it fails *observably*
-        instead: the tick is marked poisoned, every outstanding lease is
-        dropped (its displacement accounting missed this tick), and
-        every registered query is forced to evaluate at its next tick —
+        instead: the tick is marked poisoned and every registered query
+        is forced to evaluate at its next tick —
         sound from arbitrarily stale state, because the incremental step
         rebuilds from current positions (see :meth:`pause_query`).
         """
         self.poisoned_tick = self.current_tick
         self._force_eval.update(self._queries)
-        scheduler = self.scheduler
-        registry = self.registry
-        if scheduler is not None:
-            for name in list(scheduler.lease_states()):
-                if scheduler.drop_lease(name):
-                    self.leases_broken += 1
-                    if registry is not None:
-                        registry.counter(
-                            "lease_broken_total", query=name
-                        ).inc()
-        if registry is not None:
-            registry.counter("ticks_poisoned_total").inc()
+        if self.registry is not None:
+            self.registry.counter("ticks_poisoned_total").inc()
         logger.warning(
             "tick %d poisoned: forcing re-evaluation of %d queries",
             self.current_tick,
@@ -578,34 +529,23 @@ class Simulator:
             if hasattr(self.generator, "step_events"):
                 events = self.generator.step_events(self.dt)
                 moves = events.moves
-                if self.lease_mode and not isinstance(moves, (list, tuple)):
-                    moves = list(moves)
                 self._last_events = (
                     moves,
                     events.inserts,
                     events.removes,
                 )
-                disp = self._displacements(moves) if self.lease_mode else None
-                delta = grid.apply_updates(
+                return grid.apply_updates(
                     moves,
                     inserts=events.inserts,
                     removes=events.removes,
                     reuse_scratch=True,
                 )
-                if disp:
-                    delta.displacements.update(disp)
-                return delta
             updates = self.generator.step(self.dt)
-            if self.flight is not None or self.lease_mode:
+            if self.flight is not None:
                 if not isinstance(updates, list):
                     updates = list(updates)
-            if self.flight is not None:
                 self._last_events = (updates, [], [])
-            disp = self._displacements(updates) if self.lease_mode else None
-            delta = grid.apply_updates(updates, reuse_scratch=True)
-            if disp:
-                delta.displacements.update(disp)
-            return delta
+            return grid.apply_updates(updates, reuse_scratch=True)
         if hasattr(self.generator, "step_events"):
             events = self.generator.step_events(self.dt)
             for oid in events.removes:
@@ -619,146 +559,19 @@ class Simulator:
                 grid.move(oid, pos)
         return None
 
-    def _displacements(self, moves) -> Dict:
-        """Per-object Euclidean displacement of this tick's movers.
-
-        Computed against the *pre-apply* grid positions (the vectorized
-        bulk-update path does not expose old positions), recorded onto
-        the delta only in lease mode — the scheduler charges lease
-        budgets from these magnitudes.
-        """
-        grid = self.grid
-        hypot = math.hypot
-        out: Dict = {}
-        for oid, pos in moves:
-            if oid not in grid:
-                continue
-            old = grid.position(oid)
-            dx = pos[0] - old.x
-            dy = pos[1] - old.y
-            if dx != 0.0 or dy != 0.0:
-                out[oid] = hypot(dx, dy)
-        return out
-
-    def _apply_leases(
-        self, delta: TickDelta, run: Dict[str, str], annotate: bool
-    ) -> Optional[Dict[str, str]]:
-        """Intersect this tick's delta with the active safe-region leases.
-
-        Runs between the scheduler's footprint matching and the dispatch
-        partition.  Every active lease first absorbs the tick's
-        displacement/churn through :meth:`TickScheduler.absorb_displacements`;
-        then a lease that still *holds* (budget unspent, query point
-        inside the safe region — an exact test) removes its query from
-        the to-run set even when the delta touched its footprint, and
-        the skip is published under the ``lease-held`` reason.  A lease
-        that fails either check is dropped and its query forced into the
-        to-run set under ``lease-broken`` — forced, because after
-        lease-held skips of footprint-touching ticks the registered
-        footprint is stale and cannot justify a disjointness skip.
-
-        ``run`` is the scheduler's ``{name: reason}`` map, edited in
-        place; ``annotate`` (the ledger is recording) also relabels the
-        lease-capable queries evaluated without a lease as
-        ``lease-none``.  Returns the lease skips (``None`` when there are
-        none).
-        """
-        scheduler = self.scheduler
-        registry = self.registry
-        scheduler.absorb_displacements(delta)
-        states = scheduler.lease_states()
-        lease_skips: Dict[str, str] = {}
-        if states:
-            broken: list = []
-            for name, state in states.items():
-                if name in self._paused or name in self._force_eval:
-                    continue
-                query = self._queries.get(name)
-                if query is None or not self._started.get(name, False):
-                    continue
-                affected = name in run
-                footprint_void = scheduler.footprint(name) is None
-                if not (affected or footprint_void or state.tainted):
-                    # Footprint-disjoint tick with intact disjointness
-                    # evidence: the ordinary skip path already covers
-                    # this query; the lease only absorbed the budget.
-                    continue
-                if state.holds(query.position.current()):
-                    run.pop(name, None)
-                    lease_skips[name] = REASON_LEASE_HELD
-                    if affected or footprint_void:
-                        # This skip consumed a tick that touched (or
-                        # could have touched) the footprint, so the
-                        # disjointness evidence is void until the next
-                        # full evaluation; only the lease justifies
-                        # skips from here on.
-                        state.tainted = True
-                    self.leases_held += 1
-                    if registry is not None:
-                        registry.counter("lease_held_total", query=name).inc()
-                else:
-                    run[name] = REASON_LEASE_BROKEN
-                    broken.append(name)
-                    self.leases_broken += 1
-                    if registry is not None:
-                        registry.counter(
-                            "lease_broken_total", query=name
-                        ).inc()
-            for name in broken:
-                scheduler.drop_lease(name)
-        if annotate:
-            # Lease-capable queries evaluated with no lease to consult
-            # get the explicit lease-none code: in lease mode, the
-            # absence of a certificate *is* why the evaluation cost was
-            # paid.
-            for name, query in self._queries.items():
-                if (
-                    name in states
-                    or name in self._paused
-                    or not getattr(query, "lease_enabled", False)
-                    or not self._started.get(name, False)
-                    or run.get(name) == REASON_LEASE_BROKEN
-                ):
-                    continue
-                if name in run or scheduler.footprint(name) is None:
-                    run[name] = REASON_LEASE_NONE
-        if registry is not None:
-            decided = self.leases_held + self.leases_broken
-            if decided:
-                registry.gauge("lease_hold_ratio").set(
-                    self.leases_held / decided
-                )
-        return lease_skips or None
-
-    def active_lease(self, name: str) -> Optional[LeaseState]:
-        """The live lease bookkeeping for a query, if any."""
-        if self.scheduler is None:
-            return None
-        return self.scheduler.lease_state(name)
-
-    @property
-    def lease_hold_ratio(self) -> float:
-        """Held fraction of all lease skip decisions so far."""
-        decided = self.leases_held + self.leases_broken
-        return self.leases_held / decided if decided else 0.0
-
     def execute_queries(
         self,
         run: Optional[Dict[str, str]] = None,
-        lease_skips: Optional[Dict[str, str]] = None,
     ) -> Dict[str, TickMetrics]:
         """Execute every non-paused query at the current time, measured.
 
         ``run`` is this tick's ``{name: reason}`` map from
-        :meth:`TickScheduler.affected` (possibly edited by the lease
-        check): queries outside it that have already started *and* hold
+        :meth:`TickScheduler.affected`: queries outside it that have
+        already started *and* hold
         a registered footprint carry their previous answer forward
         without executing, and each member's reason is forwarded into
         the cost ledger when it is recording.  ``None`` (scheduler off,
-        or the initial step) evaluates everyone.  ``lease_skips`` maps
-        queries whose safe-region lease held this tick to their skip
-        reason code: they take the skip path even without a usable
-        footprint (the lease itself is the skip-safety evidence).
+        or the initial step) evaluates everyone.
 
         With batching enabled, the to-evaluate set is decided first, then
         evaluated in footprint-overlap group order against one fresh
@@ -784,12 +597,6 @@ class Simulator:
             if name in self._paused:
                 continue
             if (
-                lease_skips is not None
-                and name in lease_skips
-                and self._started[name]
-            ):
-                skipped.append(name)
-            elif (
                 run is not None
                 and self._started[name]
                 and name not in run
@@ -818,9 +625,7 @@ class Simulator:
             query = self._queries[name]
             last = self._last_metrics.get(name)
             answer = query.skip_tick()
-            if lease_skips is not None and name in lease_skips:
-                skip_reason = lease_skips[name]
-            elif name in no_effect:
+            if name in no_effect:
                 skip_reason = REASON_NO_EFFECT
             else:
                 skip_reason = REASON_DELTA_DISJOINT
@@ -877,10 +682,8 @@ class Simulator:
                 elif name in self._force_eval:
                     reason = REASON_RESUME_FORCED
                 elif run is not None and name in run:
-                    # Scheduler/lease annotations win: for footprinted
-                    # queries this is the affected() entry, in lease
-                    # mode possibly a lease-broken / lease-none
-                    # override.
+                    # Scheduler annotations win: for footprinted
+                    # queries this is the affected() entry.
                     reason = run[name]
                 elif scheduler is None:
                     reason = REASON_SCHEDULER_OFF
@@ -964,21 +767,6 @@ class Simulator:
                     )
                 else:
                     scheduler.update_footprint(name, query.footprint())
-                if self.lease_mode:
-                    lease = getattr(
-                        getattr(query, "last_report", None), "lease", None
-                    )
-                    if lease is not None:
-                        lease.epoch = self.current_tick
-                        self.leases_issued += 1
-                        if registry is not None:
-                            registry.counter(
-                                "lease_issued_total", query=name
-                            ).inc()
-                    # Every evaluation replaces the active lease
-                    # wholesale; a query that produced none has its
-                    # stale lease dropped.
-                    scheduler.update_lease(name, lease)
             if span is not None:
                 tracer.end(span, monitored=metrics.monitored, answer=len(answer))
             if registry is not None:

@@ -1,14 +1,13 @@
 """Lockstep differential execution of one scenario, and the fuzz loop.
 
-For every scenario the runner builds **four simulators over the
+For every scenario the runner builds **three simulators over the
 identical frozen event script** — scheduler+batch on, scheduler on with
-batching off, scheduler off (the evaluate-everything oracle
-configuration), and scheduler+batch with safe-region answer leases on
-(``lease=True``) — registers the same executors in all of them (IGERN
+batching off, and scheduler off (the evaluate-everything oracle
+configuration) — registers the same executors in all of them (IGERN
 plus, per scenario, one baseline and up to three extra fixed IGERN
 queries clustered near the main one so the batch layer actually
 shares), and advances them tick by tick in lockstep.  After every tick
-it checks five layers:
+it checks four layers:
 
 1. **oracle** — each executor's answer in the scheduler-off simulator
    must equal the quadratic brute-force answer recomputed from the raw
@@ -26,14 +25,7 @@ it checks five layers:
    scheduling decisions, so memoization is the only variable — a probe
    served from a corrupt memo shows up in the monitored state even when
    the answer survives);
-4. **lease** — each executor's answer in the lease-mode simulator must
-   be bit-identical to the scheduler-off answer (a held lease carries
-   the certified answer forward), and every issued lease's *contract*
-   is re-derived from raw positions each tick: while the population is
-   unchanged, every object sits within the lease's object budget of its
-   issue-time position, and the query point lies inside the safe
-   region, the issue-time answer must equal the brute oracle's;
-5. **invariants** — every IGERN monitored state passes
+4. **invariants** — every IGERN monitored state passes
    :meth:`~repro.core.state.MonoState.check_invariants` /
    :meth:`~repro.core.state.BiState.check_invariants` in the
    scheduler-on, batch and scheduler-off simulators (in particular after
@@ -51,10 +43,9 @@ or a scenario count, publishing ``fuzz_scenarios_total`` and
 from __future__ import annotations
 
 import copy
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.engine.simulation import Simulator
 from repro.fuzz.scenario import (
@@ -67,7 +58,7 @@ from repro.fuzz.scenario import (
 )
 from repro.geometry.rectangle import Rect
 from repro.metric import NetworkMetric
-from repro.obs.ledger import REASON_NO_EFFECT
+from repro.obs.ledger import REASON_DELTA_DISJOINT, REASON_NO_EFFECT
 from repro.obs.metrics import active_registry
 from repro.queries import (
     CRNNQuery,
@@ -90,7 +81,7 @@ CAT_A, CAT_B = "A", "B"
 class Divergence:
     """One observed disagreement or invariant violation."""
 
-    kind: str  # "oracle" | "scheduler" | "batch" | "lease" | "invariant" | "grid-sync"
+    kind: str  # "oracle" | "scheduler" | "batch" | "serving" | "invariant" | "grid-sync"
     tick: int
     name: str  # executor name or invariant site
     expected: list
@@ -134,10 +125,10 @@ class ScenarioResult:
     scenario: Scenario  # always the scripted form
     ticks: int
     divergences: List[Divergence]
-    #: Lease outcome counts of the lease-mode simulator
-    #: (``issued`` / ``held`` / ``broken``) — feeds the fuzz report's
-    #: ``leases`` coverage dimension.
-    lease_stats: Dict[str, int] = field(default_factory=dict)
+    #: Skip counts of the scheduler-on simulator by ledger reason
+    #: (``no-effect`` / ``delta-disjoint``) — feeds the fuzz report's
+    #: ``skips`` coverage dimension.
+    skip_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -188,21 +179,12 @@ class _Lockstep:
             extent=extent,
             scheduler=False,
         )
-        self.sim_lease = Simulator(
-            ScriptedWorkload(scenario.script),
-            grid_size=scenario.grid_size,
-            extent=extent,
-            scheduler=True,
-            batch=True,
-            lease=True,
-        )
         self._register(self.sim_on)
         self._register(self.sim_batch)
         self._register(self.sim_off)
-        self._register(self.sim_lease)
         # Optional extra participant: the sharded serving cluster
-        # (inline transport for determinism and coverage, lease mode on,
-        # fan-out agreement checking every query on every shard).  Only
+        # (inline transport for determinism and coverage, fan-out
+        # agreement checking every query on every shard).  Only
         # the IGERN executors ride along — the serving layer does not
         # host baselines.
         self.cluster = None
@@ -215,9 +197,6 @@ class _Lockstep:
                 grid_size=scenario.grid_size,
                 extent=extent,
                 transport="inline",
-                scheduler=True,
-                batch=True,
-                lease=True,
                 network=self.network,
                 fanout_check=True,
             )
@@ -258,11 +237,10 @@ class _Lockstep:
                         metric=metric_kind,
                     )
                 )
-        #: Independent lease-contract tracker: query name -> (lease
-        #: object at issue, issue-time position snapshot).  Validated
-        #: against the brute oracle every tick the contract holds, with
-        #: no reliance on the engine's own budget bookkeeping.
-        self._lease_contracts: Dict[str, Tuple[object, dict]] = {}
+        self.skip_stats: Dict[str, int] = {
+            REASON_NO_EFFECT: 0,
+            REASON_DELTA_DISJOINT: 0,
+        }
 
     def _position(self, sim: Simulator) -> QueryPosition:
         if self.qid is not None:
@@ -313,31 +291,21 @@ class _Lockstep:
         metrics_on = self.sim_on.execute_queries()
         metrics_batch = self.sim_batch.execute_queries()
         metrics_off = self.sim_off.execute_queries()
-        metrics_lease = self.sim_lease.execute_queries()
-        self._check_tick(
-            0, metrics_on, metrics_off, metrics_batch, metrics_lease
-        )
-        self._check_serving(0, metrics_off, initial=True)
+        self._check_tick(0, metrics_on, metrics_off, metrics_batch)
+        self._check_serving(0, metrics_off, metrics_batch, initial=True)
         for t in range(1, self.scenario.n_ticks + 1):
             metrics_on = self.sim_on.step()
             metrics_batch = self.sim_batch.step()
             metrics_off = self.sim_off.step()
-            metrics_lease = self.sim_lease.step()
-            self._check_tick(
-                t, metrics_on, metrics_off, metrics_batch, metrics_lease
-            )
-            self._check_serving(t, metrics_off)
+            self._check_tick(t, metrics_on, metrics_off, metrics_batch)
+            self._check_serving(t, metrics_off, metrics_batch)
         if self.cluster is not None:
             self.cluster.close()
         return ScenarioResult(
             scenario=self.scenario,
             ticks=self.scenario.n_ticks,
             divergences=self.divergences,
-            lease_stats={
-                "issued": self.sim_lease.leases_issued,
-                "held": self.sim_lease.leases_held,
-                "broken": self.sim_lease.leases_broken,
-            },
+            skip_stats=self.skip_stats,
         )
 
     def _oracle(self, qpos, query_id) -> set:
@@ -404,14 +372,12 @@ class _Lockstep:
         metrics_on: Dict,
         metrics_off: Dict,
         metrics_batch: Dict,
-        metrics_lease: Dict,
     ) -> None:
         report = self.divergences
         off_positions = self.sim_off.grid.positions_snapshot()
         for side, sim in (
             ("on", self.sim_on),
             ("batch", self.sim_batch),
-            ("lease", self.sim_lease),
         ):
             if sim.grid.positions_snapshot() != off_positions:
                 report.append(
@@ -462,19 +428,9 @@ class _Lockstep:
                         detail="batch=True answer differs from the cold path",
                     )
                 )
-            lease_answer = set(metrics_lease[name].answer)
-            if lease_answer != off_answer:
-                report.append(
-                    Divergence(
-                        kind="lease",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(off_answer, key=repr),
-                        actual=sorted(lease_answer, key=repr),
-                        detail="lease-mode answer differs from the evaluate-everything path",
-                    )
-                )
-        self._check_lease_contracts(tick, expectations)
+        for row in metrics_on.values():
+            if row.skipped and row.reason in self.skip_stats:
+                self.skip_stats[row.reason] += 1
         self._check_no_effect(tick, metrics_on)
         # Memoization soundness, one level below answers: sim_on and
         # sim_batch make identical scheduling decisions, so their IGERN
@@ -562,86 +518,23 @@ class _Lockstep:
                     )
                 )
 
-    def _check_lease_contracts(self, tick: int, expectations: Dict[str, set]) -> None:
-        """Validate every issued lease's *stated contract* against the
-        brute oracle, independently of the engine's budget bookkeeping.
-
-        A lease promises: while the population is unchanged, every data
-        object sits within ``object_budget`` of its issue-time position,
-        and the query point lies inside the safe region, the issue-time
-        answer is *the* exact answer.  The tracker snapshots positions
-        when a new lease appears and re-derives that promise from raw
-        positions each subsequent tick — so an unsoundly wide lease is
-        caught even on ticks the engine chose to evaluate anyway.
-        """
-        sim = self.sim_lease
-        scheduler = sim.scheduler
-        if scheduler is None:
-            return
-        tracked = self._lease_contracts
-        positions = None
-        for name in sim.query_names():
-            state = scheduler.lease_state(name)
-            if state is None:
-                tracked.pop(name, None)
-                continue
-            lease = state.lease
-            if positions is None:
-                positions = sim.grid.positions_snapshot()
-            entry = tracked.get(name)
-            if entry is None or entry[0] is not lease:
-                # Freshly issued this tick: the grid holds exactly the
-                # issue-time positions (leases are derived during the
-                # tick's evaluation, after movement landed).
-                tracked[name] = (lease, dict(positions))
-                continue
-            issued = entry[1]
-            if positions.keys() != issued.keys():
-                continue  # churn voids the contract (and breaks the lease)
-            budget = lease.object_budget
-            within = True
-            for oid, pos in positions.items():
-                if oid == lease.query_oid:
-                    continue
-                old = issued[oid]
-                if math.hypot(pos[0] - old[0], pos[1] - old[1]) > budget:
-                    within = False
-                    break
-            if not within:
-                continue
-            qpos = sim.query(name).position.current()
-            if not lease.contains(qpos):
-                continue
-            expected = expectations.get(name)
-            if expected is not None and set(lease.answer) != expected:
-                self.divergences.append(
-                    Divergence(
-                        kind="lease",
-                        tick=tick,
-                        name=name,
-                        expected=sorted(expected, key=repr),
-                        actual=sorted(lease.answer, key=repr),
-                        detail=(
-                            "lease contract holds (population unchanged,"
-                            " displacements within budget, query inside"
-                            " the safe region) but the certified answer"
-                            " is not the oracle answer"
-                        ),
-                    )
-                )
-
     def _check_serving(
-        self, tick: int, metrics_off: Dict, initial: bool = False
+        self,
+        tick: int,
+        metrics_off: Dict,
+        metrics_batch: Dict,
+        initial: bool = False,
     ) -> None:
         """Advance the serving cluster one tick and hold it to lockstep.
 
         Two comparisons: merged answers must be bit-identical to the
-        scheduler-off oracle configuration, and the cluster's lease
-        decisions (spent budget / taint / break, per live lease) must be
-        bit-identical to the single-process lease-mode simulator — the
-        sharded service may not certify differently than the engine it
-        wraps.  Fan-out disagreements between shard replicas surface as
-        a ``RuntimeError`` from the merge and are recorded too.
+        scheduler-off oracle configuration, and every query's skip
+        decision (``skipped``, plus the reason when skipped) must be
+        identical to the single-process scheduler+batch simulator's —
+        the sharded service may not schedule differently than the
+        engine it wraps.  Fan-out disagreements between shard replicas
+        surface as a ``RuntimeError`` from the merge and are recorded
+        too.
         """
         if self.cluster is None:
             return
@@ -683,22 +576,19 @@ class _Lockstep:
                         detail="sharded answer differs from the single-process engine",
                     )
                 )
-        ref_scheduler = self.sim_lease.scheduler
-        if ref_scheduler is not None:
-            ref_leases = {
-                name: (state.spent, state.tainted, state.broken)
-                for name, state in ref_scheduler.lease_states().items()
-                if name in igern_names
-            }
-            if result.leases != ref_leases:
+                continue
+            ref = metrics_batch[name]
+            expected = [ref.skipped, ref.reason if ref.skipped else ""]
+            actual = [entry[1], entry[2] if entry[1] else ""]
+            if actual != expected:
                 self.divergences.append(
                     Divergence(
                         kind="serving",
                         tick=tick,
-                        name="leases",
-                        expected=sorted(ref_leases.items(), key=repr),
-                        actual=sorted(result.leases.items(), key=repr),
-                        detail="sharded lease decisions differ from the lease-mode engine",
+                        name=name,
+                        expected=expected,
+                        actual=actual,
+                        detail="sharded skip decision differs from the single-process engine",
                     )
                 )
 
@@ -774,10 +664,10 @@ def run_scenario(
     with the filtered predicates — the gold standard against which the
     whole filtered stack is differentially validated.
 
-    ``serving`` adds the sharded serving cluster as a sixth lockstep
-    participant (after the brute oracle and the four simulators): merged
-    gateway answers and lease decisions must be bit-identical to the
-    single-process engine.
+    ``serving`` adds the sharded serving cluster as a fifth lockstep
+    participant (after the brute oracle and the three simulators): merged
+    gateway answers and skip decisions must be identical to the
+    single-process engine's.
     """
     sc = scripted(scenario)
     result = _Lockstep(
@@ -835,14 +725,14 @@ class FuzzReport:
             ("extra_queries", len(sc.extra_query_points or [])),
         ):
             self._cover(dimension, value)
-        stats = result.lease_stats
-        if stats.get("held"):
-            lease_bucket = "held"
-        elif stats.get("issued"):
-            lease_bucket = "issued"
+        stats = result.skip_stats
+        if stats.get(REASON_NO_EFFECT):
+            skip_bucket = REASON_NO_EFFECT
+        elif stats.get(REASON_DELTA_DISJOINT):
+            skip_bucket = REASON_DELTA_DISJOINT
         else:
-            lease_bucket = "none"
-        self._cover("leases", lease_bucket)
+            skip_bucket = "never"
+        self._cover("skips", skip_bucket)
         if not result.ok:
             self.failures.append(result)
 
@@ -859,7 +749,7 @@ class FuzzReport:
             "k",
             "baseline",
             "extra_queries",
-            "leases",
+            "skips",
         ):
             bucket = self.coverage.get(dimension, {})
             parts = ", ".join(f"{k}={v}" for k, v in sorted(bucket.items()))

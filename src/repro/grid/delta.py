@@ -60,12 +60,6 @@ class TickDelta:
     cell_enters: Dict[CellKey, Set[ObjectId]] = field(default_factory=dict)
     #: Per-cell sets of objects that left the cell this tick.
     cell_leaves: Dict[CellKey, Set[ObjectId]] = field(default_factory=dict)
-    #: Per-object Euclidean displacement of this tick's movers, recorded
-    #: by the engine (from the pre-apply positions) only when safe-region
-    #: lease accounting needs it; empty otherwise.  Drives the cheap
-    #: lease-revalidation decision: budgets are charged from these
-    #: magnitudes instead of re-evaluating the query.
-    displacements: Dict[ObjectId, float] = field(default_factory=dict)
     #: Pool of cleared per-cell sets, refilled by :meth:`recycle`.
     _pool: List[Set[ObjectId]] = field(
         default_factory=list, repr=False, compare=False
@@ -103,7 +97,6 @@ class TickDelta:
         self.removed.clear()
         self.dirty_cells.clear()
         self.touched_cells.clear()
-        self.displacements.clear()
         self._endpoints.clear()
         self._bulk = None
         self._by_cell = None

@@ -214,7 +214,7 @@ class ColumnarStore:
 
     def _grow(self) -> None:
         cap = self._capacity()
-        # Release the buffer exports: an array cannot resize while numpy
+        # Drop the buffer exports: an array cannot resize while numpy
         # views reference it.  Gathered slices are copies, so no kernel
         # holds the raw buffers across a mutation.
         del self.xs_np, self.ys_np, self.cix_np, self.ciy_np

@@ -80,12 +80,6 @@ REASON_OBJECT_MOVED = "object-moved"
 REASON_FOOTPRINT_HIT = "footprint-hit"
 REASON_NO_FOOTPRINT = "no-footprint"
 REASON_SCHEDULER_OFF = "scheduler-off"
-#: Lease-mode codes: a skip justified by a held safe-region lease, an
-#: evaluation forced by a lease that stopped holding, and an evaluation
-#: of a lease-capable query that had no lease to consult.
-REASON_LEASE_HELD = "lease-held"
-REASON_LEASE_BROKEN = "lease-broken"
-REASON_LEASE_NONE = "lease-none"
 
 
 @dataclass

@@ -8,7 +8,6 @@ from repro.core.bi import BiIGERN
 from repro.core.network import NetworkBiCore
 from repro.core.state import StepReport
 from repro.grid.index import Category, GridIndex
-from repro.leases import derive_bi_lease
 from repro.metric import EUCLIDEAN, Metric
 from repro.queries.base import ContinuousQuery, QueryFootprint, QueryPosition
 
@@ -25,9 +24,6 @@ class IGERNBiQuery(ContinuousQuery):
 
     name = "IGERN-bi"
     flavor = "bi"
-    #: Flipped on by the engine in lease mode (see
-    #: :class:`repro.queries.igern_mono.IGERNMonoQuery.lease_enabled`).
-    lease_enabled = False
 
     def __init__(
         self,
@@ -87,15 +83,6 @@ class IGERNBiQuery(ContinuousQuery):
         # grid's tick epoch (no-op for Euclidean).
         self.metric.observe_grid(self.grid)
         self._state, report = self._algo.initial(self.position.current())
-        if self.lease_enabled and self.metric.euclidean:
-            report.lease = derive_bi_lease(
-                self._state,
-                self.grid,
-                self._algo.cat_a,
-                self._algo.cat_b,
-                self.k,
-                self.position.query_id,
-            )
         self.last_report = report
         self._settled = False
         self._answer = report.answer
@@ -106,15 +93,6 @@ class IGERNBiQuery(ContinuousQuery):
             return self.initial()
         self.metric.observe_grid(self.grid)
         report = self._algo.incremental(self._state, self.position.current())
-        if self.lease_enabled and self.metric.euclidean:
-            report.lease = derive_bi_lease(
-                self._state,
-                self.grid,
-                self._algo.cat_a,
-                self._algo.cat_b,
-                self.k,
-                self.position.query_id,
-            )
         self.last_report = report
         self._settled = report.settled
         self._answer = report.answer

@@ -8,7 +8,6 @@ from repro.core.mono import MonoIGERN
 from repro.core.network import NetworkMonoCore
 from repro.core.state import StepReport
 from repro.grid.index import GridIndex
-from repro.leases import derive_mono_lease
 from repro.metric import EUCLIDEAN, Metric
 from repro.queries.base import ContinuousQuery, QueryFootprint, QueryPosition
 
@@ -26,10 +25,6 @@ class IGERNMonoQuery(ContinuousQuery):
 
     name = "IGERN"
     flavor = "mono"
-    #: Flipped on by the engine in lease mode: every evaluation then
-    #: derives a safe-region answer lease onto its report
-    #: (:mod:`repro.leases`; Euclidean only, like footprints).
-    lease_enabled = False
 
     def __init__(
         self,
@@ -87,10 +82,6 @@ class IGERNMonoQuery(ContinuousQuery):
         # grid's tick epoch (no-op for Euclidean).
         self.metric.observe_grid(self.grid)
         self._state, report = self._algo.initial(self.position.current())
-        if self.lease_enabled and self.metric.euclidean:
-            report.lease = derive_mono_lease(
-                self._state, self.grid, self.k, self.position.query_id
-            )
         self.last_report = report
         self._settled = False
         self._answer = report.answer
@@ -101,10 +92,6 @@ class IGERNMonoQuery(ContinuousQuery):
             return self.initial()
         self.metric.observe_grid(self.grid)
         report = self._algo.incremental(self._state, self.position.current())
-        if self.lease_enabled and self.metric.euclidean:
-            report.lease = derive_mono_lease(
-                self._state, self.grid, self.k, self.position.query_id
-            )
         self.last_report = report
         self._settled = report.settled
         self._answer = report.answer

@@ -3,9 +3,9 @@
 Turns the single-process tick simulator into a horizontally sharded
 service: the grid extent is striped into spatial shards, each owned by a
 worker (in-process or ``multiprocessing``) running its own full engine —
-grid index, tick scheduler, batch executor, lease enforcement — fronted
-by a gateway that admits object updates, routes query subscriptions, and
-streams per-tick answer deltas to subscribers.
+grid index, tick scheduler, batch executor — fronted by a gateway that
+admits object updates, routes query subscriptions, and streams per-tick
+answer deltas to subscribers.
 
 Correctness model: every shard replicates the complete object stream and
 answers only for the queries routed to it, so each answer is computed by

@@ -12,9 +12,9 @@ Layering (bottom up):
   process workers the shards genuinely tick in parallel.
 - :class:`ShardCluster` — the synchronous core: routes queries to their
   owning shard (:mod:`repro.serving.router`), broadcasts each tick's
-  events to every shard (full-replica object state), merges answers,
-  counters and lease decisions, and runs the optional fan-out agreement
-  check for boundary-straddling queries.
+  events to every shard (full-replica object state), merges answers and
+  counters, and runs the optional fan-out agreement check for
+  boundary-straddling queries.
 - :class:`AsyncGateway` — the asyncio wrapper: admits object updates at
   high rate into a pending-tick buffer, drives the cluster off the event
   loop, and streams per-tick answer deltas to subscriber queues.
@@ -170,9 +170,6 @@ class ShardCluster:
         grid_size: int = 64,
         extent: Optional[Rect] = None,
         transport: str = "inline",
-        scheduler: bool = True,
-        batch: bool = True,
-        lease: bool = False,
         dt: float = 1.0,
         network=None,
         fanout_check: bool = False,
@@ -197,9 +194,6 @@ class ShardCluster:
                 if extent is not None
                 else None
             ),
-            scheduler=scheduler,
-            batch=batch,
-            lease=lease,
             dt=dt,
             network=network,
         )
@@ -356,14 +350,11 @@ class ShardCluster:
     def _merge(self, results: List[TickResult]) -> TickResult:
         by_shard = {r.shard_id: r for r in results}
         answers: Dict[str, Tuple[Tuple[Hashable, ...], bool, str]] = {}
-        leases: Dict[str, Tuple[float, bool, bool]] = {}
         for name, owner in self.owner.items():
             owned = by_shard[owner]
             if name not in owned.answers:
                 continue  # paused on its owner
             answers[name] = owned.answers[name]
-            if name in owned.leases:
-                leases[name] = owned.leases[name]
             if self.fanout_check:
                 self._check_agreement(name, owner, by_shard)
         tick = results[0].tick
@@ -375,7 +366,6 @@ class ShardCluster:
             shard_id=-1,
             tick=tick,
             answers=answers,
-            leases=leases,
             poisoned_tick=poisoned,
         )
 
@@ -384,9 +374,8 @@ class ShardCluster:
     ) -> None:
         """Fan-out agreement: every replica must answer identically.
 
-        Only the *answer* participates — skip/lease decisions may
-        legitimately differ per shard (each shard's scheduler sees its
-        own query subset), but the answers they certify may not.
+        Only the *answer* participates; skip decisions are checked
+        against the single-process engine by the lockstep suite.
         """
         expected = by_shard[owner].answers[name][0]
         for shard_id, result in by_shard.items():

@@ -3,12 +3,12 @@
 A shard owns a stripe of grid cells for *attribution* but replicates the
 complete object stream (see ``docs/SERVING.md``): each shard runs its
 own :class:`~repro.engine.simulation.Simulator` — grid index, tick
-scheduler, batch executor, lease enforcement — over the queries routed
-to it.  Because a simulator's per-query answers are independent of which
-*other* queries it hosts (skips are per-query, batch sharing is
-answer-neutral by construction, leases are per-query certificates), a
-shard's answers are bit-identical to a single-process simulator hosting
-every query — the property the lockstep suite pins.
+scheduler, batch executor — over the queries routed to it.  Because a
+simulator's per-query answers and skip decisions are independent of
+which *other* queries it hosts (skips are per-query, batch sharing is
+answer-neutral by construction), a shard's answers are bit-identical to
+a single-process simulator hosting every query — the property the
+lockstep suite pins.
 
 The module is deliberately transport-free: :class:`ShardState` is the
 synchronous core, :func:`worker_main` wraps it in the pipe message loop
@@ -20,7 +20,7 @@ deltas — is plain picklable data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.engine.simulation import Simulator
@@ -48,9 +48,6 @@ class ShardConfig:
     n_shards: int
     grid_size: int = 64
     extent: Optional[Tuple[float, float, float, float]] = None
-    scheduler: bool = True
-    batch: bool = True
-    lease: bool = False
     dt: float = 1.0
     #: Road network for network-metric queries (picklable; ``None`` for
     #: pure-Euclidean serving).  Shared by every network query on the
@@ -92,8 +89,6 @@ class TickResult:
     tick: int
     #: name -> (sorted answer tuple, skipped, reason)
     answers: Dict[str, Tuple[Tuple[Hashable, ...], bool, str]]
-    #: name -> (spent, tainted, broken) for every live lease
-    leases: Dict[str, Tuple[float, bool, bool]] = field(default_factory=dict)
     poisoned_tick: Optional[int] = None
 
 
@@ -181,9 +176,6 @@ class ShardState:
             dt=config.dt,
             extent=config.rect(),
             registry=self.registry,
-            scheduler=config.scheduler,
-            batch=config.batch,
-            lease=config.lease,
             flight=False,
             ledger=False,
         )
@@ -219,8 +211,8 @@ class ShardState:
         try:
             out = self.sim.step()
         except Exception:
-            # The simulator poisoned the tick (leases dropped, every
-            # query forced to re-evaluate next step); drop the unread
+            # The simulator poisoned the tick (every query forced to
+            # re-evaluate next step); drop the unread
             # feed so the next broadcast is accepted, and let the
             # transport surface the failure.
             self.feed.step_events()
@@ -252,16 +244,10 @@ class ShardState:
             name: (tuple(sorted(m.answer)), m.skipped, m.reason)
             for name, m in out.items()
         }
-        leases: Dict[str, Tuple[float, bool, bool]] = {}
-        scheduler = self.sim.scheduler
-        if scheduler is not None:
-            for name, state in scheduler.lease_states().items():
-                leases[name] = (state.spent, state.tainted, state.broken)
         return TickResult(
             shard_id=self.config.shard_id,
             tick=self.sim.current_tick,
             answers=answers,
-            leases=leases,
             poisoned_tick=self.sim.poisoned_tick,
         )
 

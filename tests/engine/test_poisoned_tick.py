@@ -3,12 +3,11 @@
 Regression tests for the half-applied-tick bug: when a query evaluation
 raises partway through :meth:`Simulator.step`, the tick's movement has
 already landed in the grid while the queries past the failure point
-never ran — their registered footprints, leases, and carried answers
-describe a pre-movement world.  Before the fix, a later
+never ran — their registered footprints and carried answers describe
+a pre-movement world.  Before the fix, a later
 footprint-disjoint tick would "safely" skip those queries and serve a
 stale answer.  The fix fails fast and observably: the tick is marked
-poisoned, outstanding leases are dropped, and every query is forced to
-re-evaluate on its next tick.
+poisoned and every query is forced to re-evaluate on its next tick.
 """
 
 import pytest
@@ -117,29 +116,3 @@ def test_poisoned_tick_forces_reevaluation_after_fault():
     assert not out["igern"].skipped
     assert sim._queries["igern"].answer == expected
 
-
-def test_poisoned_tick_invalidates_answer_leases():
-    sim = Simulator(
-        ScriptedWorkload(_SCRIPT),
-        grid_size=8,
-        scheduler=True,
-        batch=False,
-        flight=False,
-        lease=True,
-    )
-    bomb = BombQuery(sim.grid, QueryPosition(sim.grid, fixed=_QUERY_POINT))
-    sim.add_query("igern", _igern(sim))
-    sim.run(0)
-    assert sim.scheduler.lease_states(), "expected a lease after initial()"
-
-    sim.add_query("bomb", bomb)
-    bomb.armed = True
-    broken_before = sim.leases_broken
-    with pytest.raises(RuntimeError, match="injected"):
-        sim.step()
-
-    # The lease's displacement accounting missed this tick; holding it
-    # would be unsound, so the poisoned tick drops every lease.
-    assert not sim.scheduler.lease_states()
-    assert sim.leases_broken > broken_before
-    assert sim.poisoned_tick == 1

@@ -547,16 +547,6 @@ class TestExactTriggers:
         )
         assert run == {"q": "object-moved"}
 
-    def test_tainted_lease_keeps_the_cell_level_test(self):
-        sched = TickScheduler()
-        sched.update_footprint("q", _settled_fp())
-        sched.update_lease("q", object())
-        assert sched.affected(_moves(("x", *self.OUT_44))) == {}
-        sched.lease_state("q").tainted = True
-        assert sched.affected(_moves(("x", *self.OUT_44))) == {
-            "q": "footprint-enter"
-        }
-
     def test_cell_without_endpoints_counts_as_a_change(self):
         """A hand-built delta without endpoints cannot justify a skip."""
         run, _ = _decide(_settled_fp(), _delta(moved={"x"}, touched={(4, 4)}))

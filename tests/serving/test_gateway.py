@@ -8,7 +8,7 @@ import pytest
 from repro.engine.simulation import Simulator
 from repro.geometry.point import Point
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import AsyncGateway, QuerySpec, ShardCluster
+from repro.serving import AsyncGateway, QuerySpec, ShardCluster, ShardConfig
 from repro.serving.counters import stats_snapshot
 from repro.serving.shard import PushFeed, build_query, decode_events
 
@@ -99,6 +99,19 @@ def test_tick_latency_percentile_nearest_rank():
     assert cluster.tick_latency_percentile(100.0) == pytest.approx(1.00)
     with pytest.raises(ValueError):
         cluster.tick_latency_percentile(0.0)
+
+
+def test_shards_always_run_scheduler_and_batch():
+    """Shards always run the scheduler and batch executor, and leases
+    are gone: neither the cluster nor the shard config nor the
+    simulator takes a switch for them."""
+    for option in ("lease", "scheduler", "batch"):
+        with pytest.raises(TypeError):
+            ShardCluster(1, grid_size=8, **{option: True})
+        with pytest.raises(TypeError):
+            ShardConfig(shard_id=0, n_shards=1, **{option: True})
+    with pytest.raises(TypeError):
+        Simulator(PushFeed([]), grid_size=8, lease=True)
 
 
 def test_process_counters_merge_into_gateway_process():

@@ -3,10 +3,10 @@
 Lockstep correctness harness for ``repro.serving``: the same frozen
 event stream is replayed through a single-process simulator and through
 the sharded cluster (inline and ``multiprocessing`` transports), and
-every per-tick answer and lease decision must match exactly.  On top of
+every per-tick answer and skip decision must match exactly.  On top of
 the deterministic scenarios here, the fuzz stream runs with the serving
-participant enabled — mono and bi modes, k up to 3, churn, road-network
-metrics and lease mode all ride the generated coverage.
+participant enabled — mono and bi modes, k up to 3, churn and
+road-network metrics all ride the generated coverage.
 """
 
 import random
@@ -43,11 +43,20 @@ def _workload(seed: int, n_objects: int = 120, n_ticks: int = 8, bi: bool = Fals
     return initial, ticks
 
 
-def _reference(initial, ticks, specs, *, lease=False, network=None):
-    """Single-process per-tick answers (and lease states) for the same
+def _decisions(rows):
+    """``{name: (skipped, reason when skipped)}`` of one tick's rows;
+    ``rows`` maps names to ``(skipped, reason)``."""
+    return {
+        name: (skipped, reason if skipped else "")
+        for name, (skipped, reason) in rows.items()
+    }
+
+
+def _reference(initial, ticks, specs, *, network=None):
+    """Single-process per-tick answers and skip decisions for the same
     stream: the oracle every sharded run is held to."""
     feed = PushFeed([(o, Point(x, y), c) for o, x, y, c in initial])
-    sim = Simulator(feed, grid_size=GRID_SIZE, flight=False, lease=lease)
+    sim = Simulator(feed, grid_size=GRID_SIZE, flight=False)
     for spec in specs:
         position = (
             QueryPosition(sim.grid, fixed=spec.point)
@@ -67,40 +76,39 @@ def _reference(initial, ticks, specs, *, lease=False, network=None):
                 metric=metric,
             )
         sim.add_query(spec.name, query)
-    answers = [
-        {n: tuple(sorted(m.answer)) for n, m in sim.execute_queries().items()}
-    ]
-    leases = [_lease_states(sim)]
+    answers, decisions = [], []
+
+    def record(out):
+        answers.append({n: tuple(sorted(m.answer)) for n, m in out.items()})
+        decisions.append(
+            _decisions({n: (m.skipped, m.reason) for n, m in out.items()})
+        )
+
+    record(sim.execute_queries())
     for moves in ticks:
         feed.push(decode_events(moves, [], []))
-        answers.append({n: tuple(sorted(m.answer)) for n, m in sim.step().items()})
-        leases.append(_lease_states(sim))
-    return answers, leases
-
-
-def _lease_states(sim):
-    if sim.scheduler is None:
-        return {}
-    return {
-        name: (state.spent, state.tainted, state.broken)
-        for name, state in sim.scheduler.lease_states().items()
-    }
+        record(sim.step())
+    return answers, decisions
 
 
 def _drive(cluster, initial, ticks, specs):
     """Load, subscribe, and replay; returns per-tick merged answers and
-    lease decisions."""
+    skip decisions."""
     cluster.load(initial)
     for spec in specs:
         cluster.add_query(spec)
-    result = cluster.initial_eval()
-    answers = [{n: a for n, (a, _s, _r) in result.answers.items()}]
-    leases = [dict(result.leases)]
-    for moves in ticks:
-        result = cluster.tick(moves)
+    answers, decisions = [], []
+
+    def record(result):
         answers.append({n: a for n, (a, _s, _r) in result.answers.items()})
-        leases.append(dict(result.leases))
-    return answers, leases
+        decisions.append(
+            _decisions({n: (s, r) for n, (_a, s, r) in result.answers.items()})
+        )
+
+    record(cluster.initial_eval())
+    for moves in ticks:
+        record(cluster.tick(moves))
+    return answers, decisions
 
 
 @pytest.mark.parametrize("transport", ["inline", "process"])
@@ -190,43 +198,47 @@ def test_network_queries_pinned_and_identical():
 
 
 @pytest.mark.parametrize("transport", ["inline", "process"])
-def test_lease_decisions_bit_identical(transport):
-    """Lease mode across the cluster: answers *and* the lease ledger
-    (spent budget / taint / break per live lease) match the
-    single-process lease-mode engine, and at least one lease actually
-    holds so the comparison is not vacuous."""
+def test_skip_decisions_identical(transport):
+    """Sparse jitter across the cluster: answers *and* every query's
+    skip decision (skipped, and the reason when skipped) match the
+    single-process scheduler+batch engine, and both skip kinds —
+    ``no-effect`` and ``delta-disjoint`` — occur, so the comparison is
+    not vacuous."""
     rng = random.Random(77)
-    initial = [(i, rng.random(), rng.random(), 0) for i in range(150)]
-    # Mostly-static regime: tiny jitter on a handful of objects per
-    # tick, so derived leases survive several ticks.
+    n_objects = 600
+    initial = [(i, rng.random(), rng.random(), 0) for i in range(n_objects)]
+    # Mostly-static regime: a few jittering objects per tick, so most
+    # queries are either untouched or touched without effect.
     positions = {oid: (x, y) for oid, x, y, _c in initial}
     ticks = []
-    for _ in range(10):
-        moved = rng.sample(range(150), 5)
+    for _ in range(12):
         tick = []
-        for oid in moved:
+        for oid in rng.sample(range(n_objects), 3):
             x, y = positions[oid]
-            nx = min(max(x + rng.uniform(-0.004, 0.004), 0.0), 1.0)
-            ny = min(max(y + rng.uniform(-0.004, 0.004), 0.0), 1.0)
+            nx = min(max(x + rng.gauss(0.0, 0.004), 0.0), 1.0)
+            ny = min(max(y + rng.gauss(0.0, 0.004), 0.0), 1.0)
             positions[oid] = (nx, ny)
             tick.append((oid, nx, ny))
         ticks.append(tick)
     specs = [
         QuerySpec(name=f"q{i}", point=(rng.random(), rng.random()))
-        for i in range(5)
+        for i in range(10)
     ]
-    expected, expected_leases = _reference(initial, ticks, specs, lease=True)
+    expected, expected_decisions = _reference(initial, ticks, specs)
     with ShardCluster(
-        N_SHARDS,
-        grid_size=GRID_SIZE,
-        transport=transport,
-        lease=True,
-        mp_context="fork",
+        N_SHARDS, grid_size=GRID_SIZE, transport=transport, mp_context="fork"
     ) as cluster:
-        got, got_leases = _drive(cluster, initial, ticks, specs)
+        got, got_decisions = _drive(cluster, initial, ticks, specs)
     assert got == expected
-    assert got_leases == expected_leases
-    assert any(expected_leases), "no lease was ever issued; test is vacuous"
+    assert got_decisions == expected_decisions
+    reasons = [
+        reason
+        for tick in expected_decisions
+        for skipped, reason in tick.values()
+        if skipped
+    ]
+    assert "no-effect" in reasons, "no no-effect skip was compared"
+    assert "delta-disjoint" in reasons, "no delta-disjoint skip was compared"
 
 
 def test_pause_resume_matches_single_process():
@@ -276,8 +288,8 @@ def test_pause_resume_matches_single_process():
 
 def test_fuzz_scenarios_with_serving_participant():
     """Generated coverage: the serving cluster rides the differential
-    fuzz stream (mono/bi, k<=3, churn, road networks, lease mode) and
-    must never diverge from the other five lockstep configurations."""
+    fuzz stream (mono/bi, k<=3, churn, road networks) and must never
+    diverge from the other four lockstep participants."""
     report = run_fuzz(seed=8162, max_scenarios=6, serving=True)
     assert report.ok, report.summary()
     assert report.scenarios == 6

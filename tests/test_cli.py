@@ -188,8 +188,7 @@ class TestObsExplain:
 class TestBench:
     def _degrade(self, directory):
         """Copies of the committed baselines with a degraded headline
-        metric (speedup where one is gated, tick latency for serving,
-        lease hold rates otherwise)."""
+        metric (speedup where one is gated, tick latency for serving)."""
         import json
         import shutil
 
@@ -205,9 +204,6 @@ class TestBench:
             elif "serving" in doc:
                 doc["serving"]["p99_tick_seconds"] *= 4.0
                 doc["serving"]["p50_tick_seconds"] *= 4.0
-            else:
-                doc["leases"]["hold_ratio"] /= 2.0
-                doc["publications"]["skip_rate"] /= 2.0
             target.write_text(json.dumps(doc))
         return directory
 

@@ -8,19 +8,17 @@ Three state machines:
   incremental IGERN executions (mono and bi simultaneously) and checks
   both answers against the brute-force oracle after every step — the
   operational form of Theorems 1-4 under adversarial update sequences;
-- :class:`SchedulerLockstepMachine` runs a scheduler-on simulator and a
-  lease-on simulator against the scheduler-off oracle configuration over
-  identical random ticks (movement, within-budget jitter, churn,
-  pause/resume) and asserts the answers never differ — the footprint
-  skip test must be conservative under any event sequence, and a held
-  answer lease must never certify a stale answer (pause drops the
-  lease; resume forces re-evaluation);
+- :class:`SchedulerLockstepMachine` runs a scheduler-on simulator
+  against the scheduler-off oracle configuration over identical random
+  ticks (movement, tiny jitter, churn, pause/resume) and asserts the
+  answers never differ — the footprint skip test, including its exact
+  per-mover ``no-effect`` refinement, must be conservative under any
+  event sequence (resume forces re-evaluation);
 - :class:`BatchLockstepMachine` does the same with a third simulator
-  running the shared-execution batch path and a fourth running
-  batch + leases, with several overlapping queries registered so the
-  per-tick context genuinely memoizes across them — neither batching
-  nor lease-held skips may ever change an answer, under any
-  interleaving of movement, churn and pause/resume;
+  running the shared-execution batch path, with several overlapping
+  queries registered so the per-tick context genuinely memoizes across
+  them — batching may never change an answer, under any interleaving of
+  movement, churn and pause/resume;
 - :class:`StoreLockstepMachine` drives the grid's columnar store and a
   plain dict model through identical mutation sequences (single ops and
   ``apply_updates`` batches) and asserts the grid shows exactly the
@@ -215,14 +213,13 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
 
     Random ticks mix boundary-crossing moves, within-cell jitter, churn
     and empty ticks (the pure skip path), plus pause/resume of the
-    monitored query (the resume-forces-reevaluation path).  A third,
-    lease-on simulator steps over the same ticks: its answer is served
-    from a held lease whenever the safe-region contract verifiably
-    holds, so the tiny-jitter rule (displacements far inside any
-    plausible object budget) exercises the held path while ordinary
-    moves and churn break leases, and pause drops the lease outright.
-    After every tick all simulators' IGERN answers must be identical,
-    and equal to the brute-force answer computed on the oracle side.
+    monitored query (the resume-forces-reevaluation path).  The
+    tiny-jitter rule moves an object by far less than any gap in the
+    configuration: when the object is not monitored, the touched
+    footprint can be skipped as ``no-effect`` by the exact per-mover
+    test.  After every tick both
+    simulators' IGERN answers must be identical, and equal to the
+    brute-force answer computed on the oracle side.
     """
 
     _INITIAL = [
@@ -238,21 +235,13 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
         super().__init__()
         self.feed_on = _EventFeed(self._INITIAL)
         self.feed_off = _EventFeed(self._INITIAL)
-        self.feed_lease = _EventFeed(self._INITIAL)
         self.sim_on = Simulator(
             self.feed_on, grid_size=6, scheduler=True, clock=_StepClock()
         )
         self.sim_off = Simulator(
             self.feed_off, grid_size=6, scheduler=False, clock=_StepClock()
         )
-        self.sim_lease = Simulator(
-            self.feed_lease,
-            grid_size=6,
-            scheduler=True,
-            lease=True,
-            clock=_StepClock(),
-        )
-        for sim in (self.sim_on, self.sim_off, self.sim_lease):
+        for sim in (self.sim_on, self.sim_off):
             sim.add_query(
                 "mono",
                 IGERNMonoQuery(sim.grid, QueryPosition(sim.grid, fixed=self._QPOS)),
@@ -265,7 +254,6 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
         )
         self.sim_on.execute_queries()
         self.sim_off.execute_queries()
-        self.sim_lease.execute_queries()
         self.alive = {oid for oid, _, _ in self._INITIAL}
         self.next_id = 10
         self.moves = {}
@@ -304,9 +292,10 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
         dy=st.floats(min_value=-1e-7, max_value=1e-7, allow_nan=False),
     )
     def queue_jitter(self, data, dx, dy):
-        """A displacement far inside any plausible lease budget — the
-        rule that lets the lease simulator's held-skip path actually
-        fire instead of every lease breaking immediately."""
+        """A displacement far below any gap in the configuration — the
+        rule that reaches the scheduler's ``no-effect`` skip path (the
+        footprint is touched, but the mover crosses no alive cell and
+        no witness ball)."""
         oid = data.draw(st.sampled_from(self._movable()))
         pos = self.sim_off.grid.position(oid)
         self.moves[oid] = (
@@ -317,12 +306,8 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.paused)
     @rule()
     def pause(self):
-        # Pausing the lease simulator drops its lease outright — the
-        # lease-invalidation path the resume rule then forces through a
-        # full re-evaluation.
         self.sim_on.pause_query("mono")
         self.sim_off.pause_query("mono")
-        self.sim_lease.pause_query("mono")
         self.paused = True
         self.stale = True
 
@@ -331,7 +316,6 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
     def resume(self):
         self.sim_on.resume_query("mono")
         self.sim_off.resume_query("mono")
-        self.sim_lease.resume_query("mono")
         self.paused = False
 
     @rule()
@@ -346,10 +330,8 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
         self.moves, self.inserts, self.removes = {}, [], set()
         self.feed_on.pending = events
         self.feed_off.pending = events
-        self.feed_lease.pending = events
         self.sim_on.step()
         self.sim_off.step()
-        self.sim_lease.step()
         if not self.paused:
             self.stale = False
 
@@ -357,17 +339,12 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
     def grids_in_sync(self):
         snap_off = self.sim_off.grid.positions_snapshot()
         assert self.sim_on.grid.positions_snapshot() == snap_off
-        assert self.sim_lease.grid.positions_snapshot() == snap_off
 
     @invariant()
     def answers_identical(self):
         on = self.sim_on.query("mono").answer
         off = self.sim_off.query("mono").answer
-        lease = self.sim_lease.query("mono").answer
         assert on == off
-        # The lease path may have skipped the evaluation entirely on a
-        # held lease — its answer must still be the exact one.
-        assert lease == off
         if self.paused or self.stale:
             return
         expected = brute_mono_rnn(
@@ -379,16 +356,14 @@ class SchedulerLockstepMachine(RuleBasedStateMachine):
 class BatchLockstepMachine(RuleBasedStateMachine):
     """Batch-on must equal batch-off and the oracle under any sequence.
 
-    Four simulators step in lockstep over identical random ticks: the
-    shared-execution batch path, the plain scheduler path, the
-    scheduler-off oracle configuration, and the batch path with answer
-    leases on — held leases then skip *publications* for some queries
-    while others in the same tick evaluate batched.  Three mono queries
-    sit close together so their footprints overlap and the shared tick
-    context actually serves cross-query hits; pause/resume of one of
-    them mixes batched, skipped and lease-dropped evaluations within
-    the same tick, and the tiny-jitter rule keeps some leases held
-    across ticks.
+    Three simulators step in lockstep over identical random ticks: the
+    shared-execution batch path, the plain scheduler path, and the
+    scheduler-off oracle configuration.  Three mono queries sit close
+    together so their footprints overlap and the shared tick context
+    actually serves cross-query hits; pause/resume of one of them mixes
+    batched, skipped and forced evaluations within the same tick, and
+    the tiny-jitter rule skips some touched queries as ``no-effect``
+    while others in the same tick evaluate batched.
     """
 
     _INITIAL = [
@@ -402,7 +377,7 @@ class BatchLockstepMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.feeds = [_EventFeed(self._INITIAL) for _ in range(4)]
+        self.feeds = [_EventFeed(self._INITIAL) for _ in range(3)]
         self.sim_batch = Simulator(
             self.feeds[0],
             grid_size=6,
@@ -420,15 +395,7 @@ class BatchLockstepMachine(RuleBasedStateMachine):
         self.sim_off = Simulator(
             self.feeds[2], grid_size=6, scheduler=False, clock=_StepClock()
         )
-        self.sim_lease = Simulator(
-            self.feeds[3],
-            grid_size=6,
-            scheduler=True,
-            batch=True,
-            lease=True,
-            clock=_StepClock(),
-        )
-        self.sims = (self.sim_batch, self.sim_plain, self.sim_off, self.sim_lease)
+        self.sims = (self.sim_batch, self.sim_plain, self.sim_off)
         for sim in self.sims:
             for name, qpos in self._QPOINTS.items():
                 sim.add_query(
@@ -472,7 +439,8 @@ class BatchLockstepMachine(RuleBasedStateMachine):
         dy=st.floats(min_value=-1e-7, max_value=1e-7, allow_nan=False),
     )
     def queue_jitter(self, data, dx, dy):
-        """A within-budget displacement so leases survive the tick."""
+        """A tiny displacement that touches footprints without effect
+        (the ``no-effect`` skip path)."""
         oid = data.draw(st.sampled_from(self._movable()))
         pos = self.sim_off.grid.position(oid)
         self.moves[oid] = (
@@ -520,7 +488,6 @@ class BatchLockstepMachine(RuleBasedStateMachine):
         snap_off = self.sim_off.grid.positions_snapshot()
         assert self.sim_batch.grid.positions_snapshot() == snap_off
         assert self.sim_plain.grid.positions_snapshot() == snap_off
-        assert self.sim_lease.grid.positions_snapshot() == snap_off
 
     @invariant()
     def answers_identical_and_exact(self):
@@ -529,10 +496,7 @@ class BatchLockstepMachine(RuleBasedStateMachine):
             batch = self.sim_batch.query(name).answer
             plain = self.sim_plain.query(name).answer
             off = self.sim_off.query(name).answer
-            lease = self.sim_lease.query(name).answer
             assert batch == plain == off
-            # Held-lease skips must serve the exact answer verbatim.
-            assert lease == off
             if name in self.paused or name in self.stale:
                 continue
             assert set(off) == brute_mono_rnn(snapshot, qpos)
